@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
-// longest-prefix-match lookups, neighbour-set construction, sanitization,
-// and the end-to-end MAP-IT engine at two corpus scales.
+// longest-prefix-match lookups, the cold path's layers (parsing,
+// sanitization, distinct addresses, neighbour-set construction), and the
+// end-to-end MAP-IT engine at two corpus scales.
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <sstream>
+#include <string>
 
 #include "baselines/claims.h"
 #include "eval/experiment.h"
+#include "trace/trace_io.h"
 
 namespace {
 
@@ -39,6 +43,23 @@ void BM_PrefixTrieLongestMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixTrieLongestMatch);
 
+// The cold path's four layers, each over the standard corpus: parse,
+// sanitize (from a copy, as a caller keeping its corpus pays), distinct
+// addresses, graph build.
+void BM_ReadCorpus(benchmark::State& state) {
+  const auto& experiment = shared_experiment();
+  std::ostringstream out;
+  trace::write_corpus(out, experiment.raw_corpus());
+  const std::string text = out.str();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    benchmark::DoNotOptimize(trace::read_corpus(in));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(experiment.raw_corpus().size()));
+}
+BENCHMARK(BM_ReadCorpus)->Unit(benchmark::kMillisecond);
+
 void BM_Sanitize(benchmark::State& state) {
   const auto& experiment = shared_experiment();
   for (auto _ : state) {
@@ -48,6 +69,14 @@ void BM_Sanitize(benchmark::State& state) {
                           static_cast<std::int64_t>(experiment.raw_corpus().size()));
 }
 BENCHMARK(BM_Sanitize)->Unit(benchmark::kMillisecond);
+
+void BM_DistinctAddresses(benchmark::State& state) {
+  const auto& experiment = shared_experiment();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(experiment.raw_corpus().distinct_addresses());
+  }
+}
+BENCHMARK(BM_DistinctAddresses)->Unit(benchmark::kMillisecond);
 
 void BM_InterfaceGraphBuild(benchmark::State& state) {
   const auto& experiment = shared_experiment();

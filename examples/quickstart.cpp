@@ -34,7 +34,7 @@ int main() {
       "2|198.71.200.1|198.71.45.236 198.71.46.180 *\n"
       "3|198.71.200.1|109.105.98.10 198.71.46.180 199.109.5.1\n"
       "4|198.71.200.1|109.105.98.10 198.71.45.2\n");
-  const trace::TraceCorpus corpus = trace::read_corpus(traces);
+  trace::TraceCorpus corpus = trace::read_corpus(traces);
 
   // 2. BGP-derived IP-to-AS mappings (collector|prefix|origin).
   std::istringstream announcements(
@@ -46,10 +46,9 @@ int main() {
   const bgp::Rib rib = bgp::Rib::read(announcements);
   const bgp::Ip2As ip2as(rib);
 
-  // 3. Sanitize, build the interface graph, run MAP-IT.
-  const auto sanitized = trace::sanitize(corpus);
-  const auto all_addresses = corpus.distinct_addresses();
-  const graph::InterfaceGraph graph(sanitized.clean, all_addresses);
+  // 3. Sanitize (in place), build the interface graph, run MAP-IT.
+  const auto sanitized = trace::sanitize(std::move(corpus));
+  const graph::InterfaceGraph graph(sanitized.clean, sanitized.addresses);
 
   const asdata::As2Org orgs;          // no sibling data in this example
   asdata::AsRelationships rels;       // minimal relationship knowledge

@@ -92,6 +92,7 @@ As2Org As2Org::read(std::istream& in) {
                        ": malformed number in '" + line + "'");
     }
   }
+  check_read(in, "as2org");
   return result;
 }
 

@@ -46,6 +46,7 @@ IxpRegistry IxpRegistry::read(std::istream& in) {
                        ": malformed record '" + line + "'");
     }
   }
+  check_read(in, "ixps");
   return result;
 }
 

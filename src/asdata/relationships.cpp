@@ -158,6 +158,7 @@ AsRelationships AsRelationships::read(std::istream& in) {
                        ": malformed number in '" + line + "'");
     }
   }
+  check_read(in, "relationships");
   return result;
 }
 

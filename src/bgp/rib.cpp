@@ -141,6 +141,7 @@ Rib Rib::read(std::istream& in, LoadReport* report) {
     }
     line_offset = next_offset;
   }
+  check_read(in, "rib");
   if (report != nullptr) report->add_loaded(loaded);
   return rib;
 }

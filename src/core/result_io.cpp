@@ -137,6 +137,7 @@ std::vector<Inference> read_inferences(std::istream& in) {
     }
     line_offset = next_offset;
   }
+  check_read(in, "inferences");
   return out;
 }
 

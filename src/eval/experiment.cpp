@@ -53,10 +53,8 @@ std::unique_ptr<Experiment> Experiment::build(const ExperimentConfig& config) {
 
   // §4.2: the other-side heuristic sees every address, even those in
   // discarded traces.
-  const std::vector<net::Ipv4Address> all_addresses =
-      e->raw_.distinct_addresses();
-  e->graph_ = std::make_unique<graph::InterfaceGraph>(e->sanitized_.clean,
-                                                      all_addresses);
+  e->graph_ = std::make_unique<graph::InterfaceGraph>(
+      e->sanitized_.clean, e->sanitized_.addresses);
   e->evaluator_ = std::make_unique<Evaluator>(e->internet_, *e->graph_);
   return e;
 }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_set>
 
 #include "net/error.h"
+#include "net/flat_set.h"
 #include "net/special_purpose.h"
 #include "parallel/thread_pool.h"
 
@@ -12,15 +12,104 @@ namespace mapit::graph {
 
 namespace {
 
+/// An adjacency `from -> to` as one sortable key: from << 32 | to.
+using Pair = std::uint64_t;
+
+constexpr Pair pair_of(net::Ipv4Address from, net::Ipv4Address to) {
+  return std::uint64_t{from.value()} << 32 | to.value();
+}
+constexpr net::Ipv4Address high(Pair pair) {
+  return net::Ipv4Address(static_cast<std::uint32_t>(pair >> 32));
+}
+constexpr net::Ipv4Address low(Pair pair) {
+  return net::Ipv4Address(static_cast<std::uint32_t>(pair));
+}
+
 const std::vector<net::Ipv4Address>& empty_neighbors() {
   static const std::vector<net::Ipv4Address> empty;
   return empty;
 }
 
-void sort_unique(std::vector<net::Ipv4Address>& addresses) {
-  std::sort(addresses.begin(), addresses.end());
-  addresses.erase(std::unique(addresses.begin(), addresses.end()),
-                  addresses.end());
+/// The unique adjacencies of `corpus` that enter neighbour sets, sorted.
+/// Workers dedupe the occurrences of disjoint trace ranges into flat sets;
+/// the special-purpose test (a trie walk) then runs once per distinct
+/// endpoint of the merged set instead of twice per occurrence.
+std::vector<Pair> gather_pairs(const trace::TraceCorpus& corpus,
+                               unsigned threads) {
+  const std::vector<trace::Trace>& traces = corpus.traces();
+  const unsigned resolved = parallel::resolve_threads(threads);
+  std::optional<parallel::ThreadPool> pool;
+  if (resolved > 1 && traces.size() > 1) pool.emplace(resolved);
+  std::vector<net::FlatSet64> sets(pool ? pool->size() : 1);
+  parallel::for_ranges(
+      pool ? &*pool : nullptr, traces.size(),
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        net::FlatSet64& set = sets[worker];
+        for (std::size_t t = begin; t < end; ++t) {
+          const std::vector<trace::TraceHop>& hops = traces[t].hops;
+          for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+            const trace::TraceHop& a = hops[i];
+            const trace::TraceHop& b = hops[i + 1];
+            if (!a.address || !b.address) continue;  // null hops break adjacency
+            if (b.probe_ttl != a.probe_ttl + 1) continue;  // one hop apart
+            if (*a.address == *b.address) continue;  // never own neighbour
+            set.insert(pair_of(*a.address, *b.address));
+          }
+        }
+      });
+  for (std::size_t w = 1; w < sets.size(); ++w) {
+    sets[w].for_each([&](Pair pair) { sets[0].insert(pair); });
+  }
+
+  // Private/shared addresses are excluded from Ns (§4.3).
+  net::FlatSet64 judged;
+  net::FlatSet64 special;
+  const auto is_special = [&](net::Ipv4Address address) {
+    if (judged.insert(address.value()) && net::is_special_purpose(address)) {
+      special.insert(address.value());
+    }
+    return special.contains(address.value());
+  };
+  std::vector<Pair> pairs;
+  pairs.reserve(sets[0].size());
+  sets[0].for_each([&](Pair pair) {
+    if (!is_special(high(pair)) && !is_special(low(pair))) {
+      pairs.push_back(pair);
+    }
+  });
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+/// Calls fn(address, run) for each run of `pairs` (sorted) sharing the
+/// high address, in ascending order.
+template <typename Fn>
+void for_each_run(std::span<const Pair> pairs, Fn&& fn) {
+  for (std::size_t i = 0; i < pairs.size();) {
+    const net::Ipv4Address address = high(pairs[i]);
+    std::size_t j = i + 1;
+    while (j < pairs.size() && high(pairs[j]) == address) ++j;
+    fn(address, pairs.subspan(i, j - i));
+    i = j;
+  }
+}
+
+/// Merges the low addresses of `run` (ascending, none already present)
+/// into the ascending `list`, back to front in place.
+void merge_neighbors(std::vector<net::Ipv4Address>& list,
+                     std::span<const Pair> run) {
+  std::size_t kept = list.size();
+  std::size_t out = kept + run.size();
+  list.resize(out);
+  for (std::size_t next = run.size(); next > 0;) {
+    const net::Ipv4Address address = low(run[next - 1]);
+    if (kept > 0 && address < list[kept - 1]) {
+      list[--out] = list[--kept];
+    } else {
+      list[--out] = address;
+      --next;
+    }
+  }
 }
 
 }  // namespace
@@ -29,8 +118,8 @@ InterfaceGraph::InterfaceGraph(const trace::TraceCorpus& sanitized,
                                std::span<const net::Ipv4Address> all_addresses,
                                unsigned threads)
     : other_sides_(all_addresses) {
-  accumulate(sanitized);
-  finalize(threads);
+  add(gather_pairs(sanitized, threads));
+  build_dense_layout();
 }
 
 void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
@@ -38,84 +127,74 @@ void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
                           unsigned threads) {
   // The §4.2 other-side heuristic is population-sensitive: a delta address
   // can flip an *existing* record's /30-vs-/31 decision by witnessing the
-  // other half of its prefix. Rebuild the map over the merged population
-  // before recomputing every record's other side in finalize().
+  // other half of its prefix, so the dense layout below recomputes every
+  // record's other side over the merged population.
   other_sides_ = OtherSideMap(all_addresses);
-  accumulate(sanitized_delta);
-  // finalize() re-sorts/uniques every neighbour set, so appending the
-  // delta's raw contributions to the already-deduplicated base sets yields
-  // exactly the union a cold build over base+delta would gather — and the
-  // dense layout is rebuilt from scratch through the same code path, so
-  // phantom discovery order (hence every HalfId) matches the cold build.
-  phantoms_.clear();
-  phantom_index_.clear();
-  finalize(threads);
+  std::vector<Pair> pairs = gather_pairs(sanitized_delta, threads);
+  std::erase_if(pairs, [&](Pair pair) {
+    const InterfaceRecord* record = find(high(pair));
+    return record != nullptr && std::binary_search(record->forward.begin(),
+                                                   record->forward.end(),
+                                                   low(pair));
+  });
+  add(pairs);
+  // Rebuilt from the records through the construction path, so phantom
+  // order (hence every HalfId) matches a cold build over base + delta.
+  build_dense_layout();
 }
 
-void InterfaceGraph::accumulate(const trace::TraceCorpus& sanitized) {
-  // Gather raw adjacency lists keyed by address. index_ doubles as the
-  // gather index: existing entries point at their (sorted) record, new
-  // addresses append; finalize() restores the sorted invariant.
-  auto record_for = [&](net::Ipv4Address address) -> InterfaceRecord& {
-    auto [it, inserted] = index_.emplace(address, records_.size());
-    if (inserted) {
-      records_.push_back(InterfaceRecord{address, {}, {}, {}});
-    }
-    return records_[it->second];
+void InterfaceGraph::add(std::span<const Pair> pairs) {
+  // The same adjacencies keyed to -> from: their runs are backward lists.
+  std::vector<Pair> reversed(pairs.size());
+  std::transform(pairs.begin(), pairs.end(), reversed.begin(),
+                 [](Pair pair) { return pair << 32 | pair >> 32; });
+  std::sort(reversed.begin(), reversed.end());
+
+  // Endpoints without a record yet, merged into records_ back to front.
+  std::vector<net::Ipv4Address> added;
+  const auto collect = [&](net::Ipv4Address address, std::span<const Pair>) {
+    if (find(address) == nullptr) added.push_back(address);
   };
-
-  for (const trace::Trace& trace : sanitized.traces()) {
-    for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
-      const trace::TraceHop& a = trace.hops[i];
-      const trace::TraceHop& b = trace.hops[i + 1];
-      if (!a.address || !b.address) continue;           // null hops break adjacency
-      if (b.probe_ttl != a.probe_ttl + 1) continue;     // must be one hop apart
-      if (*a.address == *b.address) continue;           // never own neighbour
-      if (net::is_special_purpose(*a.address) ||
-          net::is_special_purpose(*b.address)) {
-        continue;  // private/shared addresses excluded from Ns (§4.3)
-      }
-      record_for(*a.address).forward.push_back(*b.address);
-      record_for(*b.address).backward.push_back(*a.address);
+  for_each_run(pairs, collect);
+  for_each_run(reversed, collect);
+  std::sort(added.begin(), added.end());
+  added.erase(std::unique(added.begin(), added.end()), added.end());
+  std::size_t kept = records_.size();
+  std::size_t out = kept + added.size();
+  records_.resize(out);
+  for (std::size_t next = added.size(); next > 0;) {
+    if (kept > 0 && added[next - 1] < records_[kept - 1].address) {
+      records_[--out] = std::move(records_[--kept]);
+    } else {
+      records_[--out] = InterfaceRecord{added[--next], {}, {}, {}};
     }
   }
+  addresses_.resize(records_.size());
+  std::transform(records_.begin(), records_.end(), addresses_.begin(),
+                 [](const InterfaceRecord& record) { return record.address; });
+
+  for_each_run(pairs, [&](net::Ipv4Address from, std::span<const Pair> run) {
+    merge_neighbors(records_[index_of(from)].forward, run);
+  });
+  for_each_run(reversed, [&](net::Ipv4Address to, std::span<const Pair> run) {
+    merge_neighbors(records_[index_of(to)].backward, run);
+  });
 }
 
-void InterfaceGraph::finalize(unsigned threads) {
-  for (InterfaceRecord& record : records_) {
-    sort_unique(record.forward);
-    sort_unique(record.backward);
-    record.other_side = other_sides_.other_side(record.address);
-  }
-
-  std::sort(records_.begin(), records_.end(),
-            [](const InterfaceRecord& x, const InterfaceRecord& y) {
-              return x.address < y.address;
-            });
-  index_.clear();
-  index_.reserve(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    index_.emplace(records_[i].address, i);
-  }
-
-  build_dense_layout(threads);
-}
-
-void InterfaceGraph::build_dense_layout(unsigned threads) {
+void InterfaceGraph::build_dense_layout() {
   const std::size_t n = records_.size();
 
-  const unsigned resolved = parallel::resolve_threads(threads);
-  std::optional<parallel::ThreadPool> pool_storage;
-  if (resolved > 1 && n > 1) pool_storage.emplace(resolved);
-  parallel::ThreadPool* pool = pool_storage ? &*pool_storage : nullptr;
-
-  // Phantom addresses: other sides of records that are not records
-  // themselves. Discovered in record (address) order, so ids are stable
-  // (sequential: insertion order defines the ids).
-  for (const InterfaceRecord& record : records_) {
+  // Other sides, and phantom addresses: other sides of records that are
+  // not records themselves, discovered in record order.
+  phantoms_.clear();
+  for (InterfaceRecord& record : records_) {
+    record.other_side = other_sides_.other_side(record.address);
     const net::Ipv4Address os = record.other_side.address;
-    if (index_.contains(os) || phantom_index_.contains(os)) continue;
-    phantom_index_.emplace(os, n + phantoms_.size());
+    if (find(os) != nullptr || (!phantoms_.empty() && phantoms_.back() == os)) {
+      continue;
+    }
+    MAPIT_ENSURE(phantoms_.empty() || phantoms_.back() < os,
+                 "interface graph phantoms out of address order");
     phantoms_.push_back(os);
   }
 
@@ -123,10 +202,7 @@ void InterfaceGraph::build_dense_layout(unsigned threads) {
 
   // Neighbour half-ID spans. Only record halves have neighbours; a
   // neighbour address always has a record of its own (both endpoints of
-  // every adjacency were materialized during construction). The offset
-  // table is a sequential prefix sum; the span fill is per-record
-  // independent (every record's write positions come straight off the
-  // offsets), so workers fill disjoint ascending chunks.
+  // every adjacency are records).
   neighbor_offsets_.assign(halves + 1, 0);
   std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -139,109 +215,65 @@ void InterfaceGraph::build_dense_layout(unsigned threads) {
     neighbor_offsets_[id] = static_cast<std::uint32_t>(total);
   }
   neighbor_ids_.resize(total);
-  parallel::for_ranges(pool, n, [&](unsigned, std::size_t begin,
-                                    std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      std::size_t cursor = neighbor_offsets_[2 * i];
-      for (Direction d : {Direction::kForward, Direction::kBackward}) {
-        const std::uint32_t bit = direction_bit(opposite(d));
-        for (net::Ipv4Address neighbor : records_[i].neighbors(d)) {
-          const auto it = index_.find(neighbor);
-          MAPIT_ENSURE(it != index_.end(),
-                       "interface graph neighbour without a record");
-          neighbor_ids_[cursor++] =
-              static_cast<HalfId>(2 * it->second + bit);
-        }
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (Direction d : {Direction::kForward, Direction::kBackward}) {
+      const std::uint32_t bit = direction_bit(opposite(d));
+      for (net::Ipv4Address neighbor : records_[i].neighbors(d)) {
+        const std::size_t index = index_of(neighbor);
+        MAPIT_ENSURE(index < n, "interface graph neighbour without a record");
+        neighbor_ids_[cursor++] = static_cast<HalfId>(2 * index + bit);
       }
     }
-  });
+  }
 
   // Reverse adjacency via counting sort: reverse_ids_ holds, for each half
   // g, the halves h whose neighbour span contains g (sorted: sources are
   // visited in ascending id order).
   reverse_ids_.resize(neighbor_ids_.size());
   reverse_offsets_.assign(halves + 1, 0);
-  if (pool != nullptr) {
-    // Parallel counting sort in two passes over disjoint ascending source
-    // ranges. Workers first histogram their own range; the sequential
-    // combine then gives worker w its start cursor per target —
-    // reverse_offsets_[t] plus everything lower-ranked workers scatter
-    // there — so the scatter pass is race-free and keeps each target span
-    // in ascending source order, byte-identical to the sequential sort.
-    const unsigned workers = pool->size();
-    std::vector<std::vector<std::uint32_t>> cursors(
-        workers, std::vector<std::uint32_t>(halves, 0));
-    pool->for_ranges(halves, [&](unsigned worker, std::size_t begin,
-                                 std::size_t end) {
-      auto& counts = cursors[worker];
-      for (std::size_t k = neighbor_offsets_[begin];
-           k < neighbor_offsets_[end]; ++k) {
-        ++counts[neighbor_ids_[k]];
-      }
-    });
-    for (std::size_t t = 0; t < halves; ++t) {
-      std::uint32_t sum = 0;
-      for (unsigned w = 0; w < workers; ++w) sum += cursors[w][t];
-      reverse_offsets_[t + 1] = sum;
-    }
-    for (std::size_t id = 1; id <= halves; ++id) {
-      reverse_offsets_[id] += reverse_offsets_[id - 1];
-    }
-    for (std::size_t t = 0; t < halves; ++t) {
-      std::uint32_t cursor = reverse_offsets_[t];
-      for (unsigned w = 0; w < workers; ++w) {
-        const std::uint32_t count = cursors[w][t];
-        cursors[w][t] = cursor;
-        cursor += count;
-      }
-    }
-    pool->for_ranges(halves, [&](unsigned worker, std::size_t begin,
-                                 std::size_t end) {
-      auto& fill = cursors[worker];
-      for (std::size_t h = begin; h < end; ++h) {
-        for (std::size_t k = neighbor_offsets_[h];
-             k < neighbor_offsets_[h + 1]; ++k) {
-          reverse_ids_[fill[neighbor_ids_[k]]++] = static_cast<HalfId>(h);
-        }
-      }
-    });
-  } else {
-    for (HalfId target : neighbor_ids_) ++reverse_offsets_[target + 1];
-    for (std::size_t id = 1; id <= halves; ++id) {
-      reverse_offsets_[id] += reverse_offsets_[id - 1];
-    }
-    std::vector<std::uint32_t> fill(reverse_offsets_.begin(),
-                                    reverse_offsets_.end() - 1);
-    for (std::size_t h = 0; h < halves; ++h) {
-      for (std::size_t k = neighbor_offsets_[h]; k < neighbor_offsets_[h + 1];
-           ++k) {
-        reverse_ids_[fill[neighbor_ids_[k]]++] = static_cast<HalfId>(h);
-      }
+  for (HalfId target : neighbor_ids_) ++reverse_offsets_[target + 1];
+  for (std::size_t id = 1; id <= halves; ++id) {
+    reverse_offsets_[id] += reverse_offsets_[id - 1];
+  }
+  std::vector<std::uint32_t> fill(reverse_offsets_.begin(),
+                                  reverse_offsets_.end() - 1);
+  for (std::size_t h = 0; h < halves; ++h) {
+    for (std::size_t k = neighbor_offsets_[h]; k < neighbor_offsets_[h + 1];
+         ++k) {
+      reverse_ids_[fill[neighbor_ids_[k]]++] = static_cast<HalfId>(h);
     }
   }
 
-  // Other-side ids. Record halves always resolve (their other-side address
+  // Other-side ids: a half's other side is the opposite half of the far
+  // end's address. Record halves always resolve (their other-side address
   // is a record or a phantom by construction); a phantom's own other side
-  // may fall outside the universe. Per-id independent lookups.
-  other_ids_.assign(halves, kInvalidHalfId);
-  parallel::for_ranges(pool, halves, [&](unsigned, std::size_t begin,
-                                         std::size_t end) {
-    for (std::size_t id = begin; id < end; ++id) {
-      const InterfaceHalf half = half_at(static_cast<HalfId>(id));
-      other_ids_[id] = half_id(other_side_half(half));
-    }
-  });
+  // may fall outside the universe.
+  other_ids_.resize(halves);
+  for (std::size_t index = 0; index < halves / 2; ++index) {
+    const net::Ipv4Address os =
+        index < n ? records_[index].other_side.address
+                  : other_sides_.other_address(phantoms_[index - n]);
+    other_ids_[2 * index] = half_id(backward_half(os));
+    other_ids_[2 * index + 1] = half_id(forward_half(os));
+  }
+}
+
+std::size_t InterfaceGraph::index_of(net::Ipv4Address address) const {
+  const auto it =
+      std::lower_bound(addresses_.begin(), addresses_.end(), address);
+  return it != addresses_.end() && *it == address
+             ? static_cast<std::size_t>(it - addresses_.begin())
+             : addresses_.size();
 }
 
 HalfId InterfaceGraph::half_id(const InterfaceHalf& half) const {
-  std::size_t index;
-  if (auto it = index_.find(half.address); it != index_.end()) {
-    index = it->second;
-  } else if (auto pt = phantom_index_.find(half.address);
-             pt != phantom_index_.end()) {
-    index = pt->second;
-  } else {
-    return kInvalidHalfId;
+  std::size_t index = index_of(half.address);
+  if (index == records_.size()) {
+    const auto it =
+        std::lower_bound(phantoms_.begin(), phantoms_.end(), half.address);
+    if (it == phantoms_.end() || *it != half.address) return kInvalidHalfId;
+    index += static_cast<std::size_t>(it - phantoms_.begin());
   }
   return static_cast<HalfId>(2 * index + direction_bit(half.direction));
 }
@@ -268,8 +300,8 @@ std::span<const HalfId> InterfaceGraph::reverse_neighbor_ids(HalfId id) const {
 }
 
 const InterfaceRecord* InterfaceGraph::find(net::Ipv4Address address) const {
-  auto it = index_.find(address);
-  return it == index_.end() ? nullptr : &records_[it->second];
+  const std::size_t index = index_of(address);
+  return index == records_.size() ? nullptr : &records_[index];
 }
 
 const std::vector<net::Ipv4Address>& InterfaceGraph::neighbors(

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,26 +71,27 @@ class InterfaceGraph {
   /// deliberately uses discarded traces too); pass the sanitized corpus's
   /// own addresses when the original corpus is unavailable.
   ///
-  /// `threads` workers build the dense layout (neighbour-id spans, reverse
-  /// adjacency, other-side ids) over disjoint index ranges (0 = one per
-  /// hardware thread, 1 = fully sequential). The layout is byte-identical
-  /// for every thread count: span contents are position-addressed from the
-  /// offset table, and the reverse adjacency keeps its ascending-source
-  /// order via per-worker histogram offsets.
+  /// `threads` workers dedupe the adjacencies of disjoint trace ranges
+  /// into flat (from, to) pair sets (0 = one per hardware thread, 1 =
+  /// sequential). Everything after that works on the merged, sorted unique
+  /// pairs, so the graph is identical for every thread count, and its
+  /// memory grows with unique pairs, not with adjacency occurrences.
   InterfaceGraph(const trace::TraceCorpus& sanitized,
                  std::span<const net::Ipv4Address> all_addresses,
                  unsigned threads = 1);
 
-  /// Incrementally folds a batch of sanitized delta traces into the graph.
-  /// `all_addresses` must be the *merged* unsanitized address population
-  /// (base + every delta so far) — the §4.2 other-side heuristic is
-  /// rebuilt over it, because new witnesses can flip existing records'
-  /// /30-vs-/31 decisions.
+  /// Incrementally folds a batch of sanitized delta traces into the graph:
+  /// the delta's pairs that are new are merged into the records' sorted
+  /// neighbour lists. `all_addresses` must be the *merged* unsanitized
+  /// address population (base + every delta so far) — the §4.2 other-side
+  /// heuristic is rebuilt over it, because new witnesses can flip existing
+  /// records' /30-vs-/31 decisions.
   ///
-  /// Postcondition (pinned by the ingest equivalence tests): the folded
-  /// graph is indistinguishable — records, neighbour sets, other sides,
-  /// phantom order, every HalfId — from a cold-built graph over the
-  /// concatenated corpus, for any fold batching and any thread count.
+  /// Postcondition (pinned by the ingest equivalence tests and the graph
+  /// oracle test): the folded graph is indistinguishable — records,
+  /// neighbour sets, other sides, phantom order, every HalfId — from a
+  /// cold-built graph over the concatenated corpus, for any fold batching
+  /// and any thread count.
   void fold(const trace::TraceCorpus& sanitized_delta,
             std::span<const net::Ipv4Address> all_addresses,
             unsigned threads = 1);
@@ -161,17 +161,25 @@ class InterfaceGraph {
   [[nodiscard]] HalfId other_side_id(HalfId id) const { return other_ids_[id]; }
 
  private:
-  void accumulate(const trace::TraceCorpus& sanitized);
-  void finalize(unsigned threads);
-  void build_dense_layout(unsigned threads);
+  /// Adds adjacencies given as sorted `from << 32 | to` keys, none of them
+  /// already in the graph: endpoints without a record get one, then each
+  /// pair is merged into its endpoints' sorted forward and backward lists.
+  void add(std::span<const std::uint64_t> pairs);
+  void build_dense_layout();
+  /// Index of the record for `address` in records_, or records_.size().
+  [[nodiscard]] std::size_t index_of(net::Ipv4Address address) const;
 
-  std::vector<InterfaceRecord> records_;                       // sorted by address
-  std::unordered_map<net::Ipv4Address, std::size_t> index_;
+  std::vector<InterfaceRecord> records_;  // sorted by address
+  /// records_[i].address, contiguous: every address lookup binary-searches
+  /// this instead of striding through the records.
+  std::vector<net::Ipv4Address> addresses_;
   OtherSideMap other_sides_;
 
-  // Dense layout (built once at construction).
-  std::vector<net::Ipv4Address> phantoms_;  // discovery order
-  std::unordered_map<net::Ipv4Address, std::size_t> phantom_index_;
+  // Dense layout (rebuilt by construction and by every fold).
+  // Phantom discovery (record order) is ascending address order: a
+  // record's other side lies in its own /30, and within a /30 the order
+  // holds case by case; the build checks it, and half_id relies on it.
+  std::vector<net::Ipv4Address> phantoms_;
   std::vector<HalfId> neighbor_ids_;             // flattened spans
   std::vector<std::uint32_t> neighbor_offsets_;  // size half_count() + 1
   std::vector<HalfId> reverse_ids_;              // flattened spans

@@ -14,10 +14,9 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "net/ipv4.h"
 
@@ -40,9 +39,13 @@ struct OtherSide {
 };
 
 /// Immutable map from every dataset address to its inferred other side.
+/// The decision is a pure function of the address and the witness set, so
+/// the map stores only the sorted set and decides each query with at most
+/// two binary searches.
 class OtherSideMap {
  public:
-  /// Builds the map from all addresses seen in any trace.
+  /// Builds the map from all addresses seen in any trace (any order,
+  /// duplicates allowed).
   explicit OtherSideMap(std::span<const net::Ipv4Address> addresses);
 
   /// The other side of `address`. Addresses not in the build set still get
@@ -58,13 +61,12 @@ class OtherSideMap {
   /// reports 40.4% on Ark).
   [[nodiscard]] double slash31_fraction() const;
 
-  [[nodiscard]] std::size_t size() const { return decisions_.size(); }
+  [[nodiscard]] std::size_t size() const { return seen_.size(); }
 
  private:
-  [[nodiscard]] OtherSide decide(net::Ipv4Address address) const;
+  [[nodiscard]] bool seen(net::Ipv4Address address) const;
 
-  std::unordered_set<net::Ipv4Address> seen_;
-  std::unordered_map<net::Ipv4Address, OtherSide> decisions_;
+  std::vector<net::Ipv4Address> seen_;  // sorted unique
 };
 
 }  // namespace mapit::graph

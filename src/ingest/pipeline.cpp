@@ -34,12 +34,12 @@ IngestPipeline::IngestPipeline(const IngestSetup& setup)
     : options_(setup.options) {
   {
     auto stream = open_or_throw(setup.traces_path);
-    const trace::TraceCorpus corpus = trace::read_corpus(
+    trace::TraceCorpus corpus = trace::read_corpus(
         stream, options_.threads, setup.lenient ? &trace_report_ : nullptr);
     base_traces_ = corpus.size();
-    all_addresses_ = corpus.distinct_addresses();
-    const trace::SanitizeResult sanitized =
-        trace::sanitize(corpus, options_.threads);
+    trace::SanitizeResult sanitized =
+        trace::sanitize(std::move(corpus), options_.threads);
+    all_addresses_ = std::move(sanitized.addresses);
     graph_ = std::make_unique<graph::InterfaceGraph>(
         sanitized.clean, all_addresses_, options_.threads);
   }
@@ -83,11 +83,11 @@ IngestPipeline::IngestPipeline(const IngestSetup& setup)
 void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
   if (raw_delta.empty()) return;
   delta_traces_ += raw_delta.size();
-  // Witness population first: the other-side heuristic must see the
-  // addresses of traces the sanitizer is about to discard.
-  merge_sorted_unique(all_addresses_, raw_delta.distinct_addresses());
   const trace::SanitizeResult sanitized =
       trace::sanitize(raw_delta, options_.threads);
+  // The witness population takes every raw delta address: the other-side
+  // heuristic must see the traces and hops the sanitizer discarded.
+  merge_sorted_unique(all_addresses_, sanitized.addresses);
   graph_->fold(sanitized.clean, all_addresses_, options_.threads);
 }
 

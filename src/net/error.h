@@ -5,8 +5,10 @@
 // single base type at a pipeline boundary.
 #pragma once
 
+#include <ios>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mapit {
 
@@ -39,5 +41,15 @@ namespace detail {
   do {                                                              \
     if (!(cond)) ::mapit::detail::fail_invariant(msg);              \
   } while (false)
+
+/// Every text loader calls this once its read loop ends. A stream in bad()
+/// failed mid-read (libstdc++'s filebuf throws from underflow() on EIO and
+/// the stream swallows that into badbit), so what was parsed is a truncated
+/// prefix of `input`, never a result.
+inline void check_read(const std::ios& stream, std::string_view input) {
+  if (stream.bad()) {
+    throw Error(std::string(input) + ": read error, input truncated");
+  }
+}
 
 }  // namespace mapit

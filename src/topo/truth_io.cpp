@@ -62,6 +62,7 @@ std::vector<TrueLink> read_true_links(std::istream& in) {
                        ": malformed number in '" + line + "'");
     }
   }
+  check_read(in, "truth");
   return out;
 }
 

@@ -4,71 +4,91 @@
 #include <utility>
 #include <vector>
 
+#include "net/flat_set.h"
 #include "parallel/thread_pool.h"
 
 namespace mapit::trace {
 
-Trace strip_ttl0_hops(const Trace& trace, std::size_t* removed) {
-  Trace out;
-  out.monitor = trace.monitor;
-  out.destination = trace.destination;
-  out.hops.reserve(trace.hops.size());
-  for (const TraceHop& hop : trace.hops) {
-    if (hop.address && hop.quoted_ttl && *hop.quoted_ttl == 0) {
-      if (removed != nullptr) ++*removed;
-      continue;
-    }
-    out.hops.push_back(hop);
-  }
-  return out;
+namespace {
+
+bool quotes_ttl0(const TraceHop& hop) {
+  return hop.address && hop.quoted_ttl && *hop.quoted_ttl == 0;
 }
 
-SanitizeResult sanitize(const TraceCorpus& corpus, unsigned threads) {
-  SanitizeResult result;
-  result.stats.input_traces = corpus.size();
-  result.stats.input_addresses = corpus.distinct_addresses().size();
+/// What one worker learns about its ascending trace range.
+struct Part {
+  std::size_t discarded = 0;
+  std::size_t removed_hops = 0;
+  /// Addresses of the hops that survive into the clean corpus, and of every
+  /// other raw hop. Each raw hop lands in exactly one of the two.
+  net::FlatSet64 kept;
+  net::FlatSet64 dropped;
+};
 
-  const std::vector<Trace>& traces = corpus.traces();
+}  // namespace
+
+SanitizeResult sanitize(TraceCorpus corpus, unsigned threads) {
+  std::vector<Trace>& traces = corpus.traces();
   const unsigned resolved = parallel::resolve_threads(threads);
-  if (resolved > 1 && traces.size() > 1) {
-    // Per-trace sanitization is independent: workers clean disjoint chunks
-    // into index-addressed slots (nullopt = discarded for a cycle) and
-    // count stripped hops per worker. The sequential fold below then
-    // preserves corpus order and sums the counters — identical output and
-    // stats to the single-threaded loop.
-    parallel::ThreadPool pool(resolved);
-    std::vector<std::optional<Trace>> cleaned(traces.size());
-    std::vector<std::size_t> removed_hops(pool.size(), 0);
-    pool.for_ranges(traces.size(), [&](unsigned worker, std::size_t begin,
-                                       std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        Trace clean = strip_ttl0_hops(traces[i], &removed_hops[worker]);
-        if (!clean.has_interface_cycle()) cleaned[i] = std::move(clean);
-      }
-    });
-    for (std::size_t removed : removed_hops) {
-      result.stats.removed_ttl0_hops += removed;
-    }
-    for (std::optional<Trace>& clean : cleaned) {
-      if (clean) {
-        result.clean.add(std::move(*clean));
-      } else {
-        ++result.stats.discarded_traces;
-      }
-    }
-  } else {
-    for (const Trace& trace : traces) {
-      Trace cleaned = strip_ttl0_hops(trace, &result.stats.removed_ttl0_hops);
-      if (cleaned.has_interface_cycle()) {
-        ++result.stats.discarded_traces;
-        continue;
-      }
-      result.clean.add(std::move(cleaned));
-    }
-  }
+  std::optional<parallel::ThreadPool> pool;
+  if (resolved > 1 && traces.size() > 1) pool.emplace(resolved);
 
-  result.stats.retained_addresses =
-      result.clean.distinct_addresses().size();
+  // Per-trace sanitization is independent: workers clean ascending chunks
+  // in place and flag the traces to discard; the compaction below keeps
+  // corpus order, so the result is the same for every thread count.
+  std::vector<char> discard(traces.size(), 0);
+  std::vector<Part> parts(pool ? pool->size() : 1);
+  parallel::for_ranges(
+      pool ? &*pool : nullptr, traces.size(),
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        Part& part = parts[worker];
+        for (std::size_t i = begin; i < end; ++i) {
+          std::vector<TraceHop>& hops = traces[i].hops;
+          const std::size_t raw_hops = hops.size();
+          std::erase_if(hops, [&](const TraceHop& hop) {
+            if (!quotes_ttl0(hop)) return false;
+            part.dropped.insert(hop.address->value());
+            return true;
+          });
+          part.removed_hops += raw_hops - hops.size();
+          const bool keep = !traces[i].has_interface_cycle();
+          for (const TraceHop& hop : hops) {
+            if (hop.address) {
+              (keep ? part.kept : part.dropped).insert(hop.address->value());
+            }
+          }
+          if (!keep) {
+            discard[i] = 1;
+            ++part.discarded;
+          }
+        }
+      });
+
+  SanitizeResult result;
+  result.stats.input_traces = traces.size();
+  std::size_t retained = 0;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (discard[i] != 0) continue;
+    if (retained != i) traces[retained] = std::move(traces[i]);
+    ++retained;
+  }
+  traces.resize(retained);
+  result.clean = std::move(corpus);
+
+  net::FlatSet64 kept;
+  net::FlatSet64 seen;
+  for (const Part& part : parts) {
+    result.stats.discarded_traces += part.discarded;
+    result.stats.removed_ttl0_hops += part.removed_hops;
+    part.kept.for_each([&](std::uint64_t key) {
+      kept.insert(key);
+      seen.insert(key);
+    });
+    part.dropped.for_each([&](std::uint64_t key) { seen.insert(key); });
+  }
+  result.addresses = net::sorted_addresses(seen);
+  result.stats.input_addresses = result.addresses.size();
+  result.stats.retained_addresses = kept.size();
   return result;
 }
 

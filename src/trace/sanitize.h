@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
+#include "net/ipv4.h"
 #include "trace/trace.h"
 
 namespace mapit::trace {
@@ -40,22 +42,28 @@ struct SanitizeStats {
 struct SanitizeResult {
   TraceCorpus clean;
   SanitizeStats stats;
+  /// Every distinct responding address of the *input* corpus, sorted:
+  /// exactly input.distinct_addresses(), gathered in the same pass. This
+  /// is the §4.2 other-side population, which deliberately includes the
+  /// traces and hops the sanitizer drops.
+  std::vector<net::Ipv4Address> addresses;
 };
 
-/// Returns a copy of `hops`-stripped, cycle-free traces plus statistics.
-/// TTL-0 hop removal happens *before* the cycle check, mirroring the paper's
-/// step order ("After sanitizing a trace, we attempt to identify if load
+/// Returns the TTL-0-stripped, cycle-free traces plus statistics. TTL-0 hop
+/// removal happens *before* the cycle check, mirroring the paper's step
+/// order ("After sanitizing a trace, we attempt to identify if load
 /// balancing or a transient routing change occurred").
+///
+/// The corpus is taken by value and cleaned in place: move a corpus that
+/// is no longer needed in (`sanitize(std::move(corpus))`) and no trace is
+/// copied; pass an lvalue and the copy is the only allocation per trace.
 ///
 /// Each trace is sanitized independently, so `threads` workers process
 /// trace chunks concurrently (0 = one per hardware thread, 1 = the
 /// sequential path). Retained traces keep corpus order and per-worker hop
-/// counters are summed, so the result is identical for every thread count.
-[[nodiscard]] SanitizeResult sanitize(const TraceCorpus& corpus,
+/// counters and address sets are merged, so the result is identical for
+/// every thread count.
+[[nodiscard]] SanitizeResult sanitize(TraceCorpus corpus,
                                       unsigned threads = 1);
-
-/// Removes quoted-TTL-0 hops from one trace, preserving the other hops.
-[[nodiscard]] Trace strip_ttl0_hops(const Trace& trace,
-                                    std::size_t* removed = nullptr);
 
 }  // namespace mapit::trace

@@ -1,8 +1,9 @@
 #include "trace/trace.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <array>
+
+#include "net/flat_set.h"
 
 namespace mapit::trace {
 
@@ -13,54 +14,55 @@ std::size_t Trace::responsive_hops() const {
 }
 
 bool Trace::has_interface_cycle() const {
-  // For each responsive hop, remember the index of its previous occurrence;
-  // a cycle needs a *different* address strictly between the two.
-  std::unordered_map<net::Ipv4Address, std::size_t> last_seen;
-  std::vector<net::Ipv4Address> responsive;
-  responsive.reserve(hops.size());
-  for (const TraceHop& hop : hops) {
-    if (hop.address) responsive.push_back(*hop.address);
+  // Collapse immediate repeats (nulls are skipped, they separate nothing);
+  // a cycle is then any address seen twice in what remains, since its two
+  // occurrences cannot be neighbours there. Parsed traces hold at most 255
+  // hops, so the collapsed sequence fits on the stack, and a pairwise scan
+  // of a typical dozen addresses beats sorting them.
+  std::array<std::uint32_t, 256> stack;
+  std::vector<std::uint32_t> heap;
+  std::uint32_t* sequence = stack.data();
+  if (hops.size() > stack.size()) {
+    heap.resize(hops.size());
+    sequence = heap.data();
   }
-  for (std::size_t i = 0; i < responsive.size(); ++i) {
-    auto it = last_seen.find(responsive[i]);
-    if (it != last_seen.end()) {
-      for (std::size_t j = it->second + 1; j < i; ++j) {
-        if (responsive[j] != responsive[i]) return true;
-      }
+  std::size_t count = 0;
+  for (const TraceHop& hop : hops) {
+    if (!hop.address) continue;
+    const std::uint32_t value = hop.address->value();
+    if (count > 0 && sequence[count - 1] == value) continue;
+    if (std::find(sequence, sequence + count, value) != sequence + count) {
+      return true;
     }
-    last_seen[responsive[i]] = i;
+    sequence[count++] = value;
   }
   return false;
 }
 
 std::vector<net::Ipv4Address> TraceCorpus::distinct_addresses() const {
-  std::unordered_set<net::Ipv4Address> seen;
+  net::FlatSet64 seen;
   for (const Trace& trace : traces_) {
     for (const TraceHop& hop : trace.hops) {
-      if (hop.address) seen.insert(*hop.address);
+      if (hop.address) seen.insert(hop.address->value());
     }
   }
-  std::vector<net::Ipv4Address> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return net::sorted_addresses(seen);
 }
 
 std::vector<net::Ipv4Address> TraceCorpus::adjacent_addresses() const {
-  std::unordered_set<net::Ipv4Address> seen;
+  net::FlatSet64 seen;
   for (const Trace& trace : traces_) {
     for (std::size_t i = 0; i + 1 < trace.hops.size(); ++i) {
       const TraceHop& a = trace.hops[i];
       const TraceHop& b = trace.hops[i + 1];
       if (a.address && b.address &&
           b.probe_ttl == a.probe_ttl + 1) {
-        seen.insert(*a.address);
-        seen.insert(*b.address);
+        seen.insert(a.address->value());
+        seen.insert(b.address->value());
       }
     }
   }
-  std::vector<net::Ipv4Address> out(seen.begin(), seen.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return net::sorted_addresses(seen);
 }
 
 }  // namespace mapit::trace

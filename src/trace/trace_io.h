@@ -25,7 +25,8 @@ namespace mapit::trace {
 /// Serializes one trace to its line representation (no trailing newline).
 [[nodiscard]] std::string format_trace(const Trace& trace);
 
-/// Parses one line. Throws mapit::ParseError with `context` on failure.
+/// Parses one line with the parser read_corpus uses. Throws
+/// mapit::ParseError with `context` on failure.
 [[nodiscard]] Trace parse_trace(std::string_view line,
                                 std::string_view context = "trace");
 
@@ -40,12 +41,15 @@ void write_corpus(std::ostream& out, const TraceCorpus& corpus);
 /// quarantines instead: malformed lines are skipped and counted into
 /// `*report` (line numbers ascending), and every well-formed line loads.
 ///
-/// `threads` workers parse line chunks concurrently (0 = one per hardware
-/// thread, 1 = the sequential reader). The result is byte-identical for
-/// every thread count: traces keep file order, the strict-mode error is
-/// the one the sequential reader would hit first (workers own ascending
-/// line ranges and stop at their first failure), and the lenient-mode
-/// LoadReport is the sequential reader's report exactly.
+/// The stream (seekable or not) is read into one buffer, and `threads`
+/// workers parse ascending byte ranges of it in place (0 = one per hardware
+/// thread, 1 = sequential). The result is identical for every thread count:
+/// traces keep file order, the strict-mode error is the file's first bad
+/// line, and the lenient-mode LoadReport lists every bad line in file order
+/// with its line number and byte offset.
+///
+/// A stream that ends in bad() (a read error mid-input) throws mapit::Error
+/// instead of returning a truncated corpus.
 [[nodiscard]] TraceCorpus read_corpus(std::istream& in, unsigned threads = 1,
                                       LoadReport* report = nullptr);
 

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "failing_stream.h"
 #include "net/error.h"
 
 namespace mapit::asdata {
@@ -103,6 +104,11 @@ TEST(As2Org, ReadRejectsMalformed) {
     std::stringstream stream("x|1");
     EXPECT_THROW(As2Org::read(stream), mapit::ParseError);
   }
+}
+
+TEST(As2Org, ReadErrorMidFileThrowsInsteadOfTruncating) {
+  testutil::expect_read_error("100|1\n200|1\n30", "as2org",
+                              [](std::istream& in) { return As2Org::read(in); });
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "failing_stream.h"
 #include "net/error.h"
 
 namespace mapit::asdata {
@@ -56,6 +57,12 @@ TEST(IxpRegistry, ReadRejectsGarbage) {
     std::stringstream stream("195.1.0.0/24|x\n");
     EXPECT_THROW(IxpRegistry::read(stream), mapit::ParseError);
   }
+}
+
+TEST(IxpRegistry, ReadErrorMidFileThrowsInsteadOfTruncating) {
+  testutil::expect_read_error(
+      "195.1.0.0/24|1\n80.249.208.0/21|2\n1200|", "ixps",
+      [](std::istream& in) { return IxpRegistry::read(in); });
 }
 
 }  // namespace

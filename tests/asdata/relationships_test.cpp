@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "failing_stream.h"
 #include "net/error.h"
 
 namespace mapit::asdata {
@@ -124,6 +125,12 @@ TEST(RelationshipsIo, RejectsUnknownTypeAndGarbage) {
     std::stringstream stream("a|b|-1\n");
     EXPECT_THROW(AsRelationships::read(stream), mapit::ParseError);
   }
+}
+
+TEST(Relationships, ReadErrorMidFileThrowsInsteadOfTruncating) {
+  testutil::expect_read_error(
+      "100|1000|-1\n100|101|0\n1000|10", "relationships",
+      [](std::istream& in) { return AsRelationships::read(in); });
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "failing_stream.h"
 #include "net/error.h"
 
 namespace mapit::bgp {
@@ -166,6 +167,18 @@ TEST(Rib, ReadSkipsCommentsAndBlankLines) {
   std::stringstream stream("# header\n\nrc|10.0.0.0/8|100\n");
   const Rib rib = Rib::read(stream);
   EXPECT_EQ(rib.announcement_count(), 1u);
+}
+
+TEST(Rib, ReadErrorMidFileThrowsInsteadOfTruncating) {
+  const std::string prefix =
+      "rc0|11.1.0.0/16|100\nrc0|11.2.0.0/16|200\nrc0|11.3";
+  testutil::expect_read_error(prefix, "rib", [](std::istream& in) {
+    return Rib::read(in);
+  });
+  testutil::expect_read_error(prefix, "rib", [](std::istream& in) {
+    LoadReport report;
+    return Rib::read(in, &report);
+  });
 }
 
 }  // namespace

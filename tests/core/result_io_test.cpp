@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "failing_stream.h"
 #include "net/error.h"
 #include "test_util.h"
 
@@ -119,6 +120,15 @@ TEST(ResultIo, SkipsComments) {
   ASSERT_EQ(inferences.size(), 1u);
   EXPECT_EQ(inferences[0].kind, InferenceKind::kStub);
   EXPECT_EQ(inferences[0].half.direction, graph::Direction::kBackward);
+}
+
+TEST(ResultIo, ReadErrorMidFileThrowsInsteadOfTruncating) {
+  std::ostringstream out;
+  write_inferences(out, sample());
+  const std::string text = out.str();
+  testutil::expect_read_error(
+      text.substr(0, text.size() - 5), "inferences",
+      [](std::istream& in) { return read_inferences(in); });
 }
 
 }  // namespace

@@ -35,24 +35,26 @@ namespace {
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
 
+// Public address space: special-purpose ranges (10/8 included) never enter
+// a neighbour set, and an empty graph would make "equals cold" vacuous.
 constexpr const char* kRib =
-    "rc0|10.1.0.0/16|100\n"
-    "rc0|10.2.0.0/16|200\n"
-    "rc0|10.3.0.0/16|300\n";
+    "rc0|11.1.0.0/16|100\n"
+    "rc0|11.2.0.0/16|200\n"
+    "rc0|11.3.0.0/16|300\n";
 
 std::vector<std::string> corpus_lines() {
   std::vector<std::string> lines;
   for (int i = 0; i < 6; ++i) {
     const std::string a = std::to_string(2 + i);
-    lines.push_back("0|10.2.0." + a + "|10.1.0.1@1 10.1.0." + a +
-                    "@2 10.2.0.1@3 10.2.0." + a + "@4");
-    lines.push_back("1|10.3.0." + a + "|10.2.0.1@1 10.2.0." + a +
-                    "@2 10.3.0.1@3 10.3.0." + a + "@4");
+    lines.push_back("0|11.2.0." + a + "|11.1.0.1@1 11.1.0." + a +
+                    "@2 11.2.0.1@3 11.2.0." + a + "@4");
+    lines.push_back("1|11.3.0." + a + "|11.2.0.1@1 11.2.0." + a +
+                    "@2 11.3.0.1@3 11.3.0." + a + "@4");
   }
   for (int i = 0; i < 4; ++i) {
     const std::string a = std::to_string(20 + i);
-    lines.push_back("0|10.3.0." + a + "|10.1.0.1@1 10.1.0." + a +
-                    "@2 10.2.0.40@3 10.3.0.1@4 10.3.0." + a + "@5");
+    lines.push_back("0|11.3.0." + a + "|11.1.0.1@1 11.1.0." + a +
+                    "@2 11.2.0.40@3 11.3.0.1@4 11.3.0." + a + "@5");
   }
   return lines;
 }
@@ -170,13 +172,20 @@ class DegradedIngestTest : public ::testing::Test {
                     lines_.end()));
   }
 
+  /// The cold snapshot over base + delta. Guarded against vacuity: the cold
+  /// graph has records, and the base-only snapshot differs from it, so
+  /// matching it proves the delta landed.
   std::string cold_bytes() const {
     ingest::IngestSetup setup;
     setup.traces_path = full_path_;
     setup.rib_path = rib_path_;
     setup.options.threads = 1;
     const ingest::IngestPipeline pipeline(setup);
-    return pipeline.serialize();
+    EXPECT_GT(pipeline.interfaces(), 0u);
+    std::string cold = pipeline.serialize();
+    setup.traces_path = base_path_;
+    EXPECT_NE(cold, ingest::IngestPipeline(setup).serialize());
+    return cold;
   }
 
   std::size_t delta_count() const { return lines_.size() - base_count_; }

@@ -403,18 +403,20 @@ TEST_F(RemoteIngestTest, SenderDrainMatchesColdAcrossThreadCounts) {
     EXPECT_EQ(sent.acked_offset, fs::file_size(send_path_));
 
     // Satellite: HEALTH now reports live sessions and the ACK watermark.
+    // The ingest loop copies the watermark into HEALTH on its next pass
+    // after the ACK went out, so wait for the final value itself: under
+    // load a probe can land in between and see the previous sequence.
+    const std::string final_ack =
+        "last_ack=mon-a:" + std::to_string(sent.last_acked_seq);
     std::string health;
     const auto deadline = std::chrono::steady_clock::now() + 5s;
     while (std::chrono::steady_clock::now() < deadline) {
       health = query_health(health_port);
-      if (health.find("last_ack=mon-a:") != std::string::npos) break;
+      if (health.find(final_ack) != std::string::npos) break;
       std::this_thread::sleep_for(20ms);
     }
     EXPECT_NE(health.find("sessions="), std::string::npos) << health;
-    EXPECT_NE(health.find("last_ack=mon-a:" +
-                          std::to_string(sent.last_acked_seq)),
-              std::string::npos)
-        << health;
+    EXPECT_NE(health.find(final_ack), std::string::npos) << health;
 
     const ingest::IngestStats stats = run.finish();
     EXPECT_EQ(stats.remote_batches, sent.batches_acked);

@@ -27,11 +27,14 @@ namespace fs = std::filesystem;
 
 // A hand-sized internet: three ASes, a handful of inter-AS links, enough
 // traces that several batch splits are distinguishable. Cheap enough that
-// the crash matrix can afford an engine run per injection point.
+// the crash matrix can afford an engine run per injection point. Public
+// address space: special-purpose ranges (10/8 included) never enter a
+// neighbour set, and a graph without records would make every "equals
+// cold" check below vacuous.
 constexpr const char* kRib =
-    "rc0|10.1.0.0/16|100\n"
-    "rc0|10.2.0.0/16|200\n"
-    "rc0|10.3.0.0/16|300\n";
+    "rc0|11.1.0.0/16|100\n"
+    "rc0|11.2.0.0/16|200\n"
+    "rc0|11.3.0.0/16|300\n";
 
 std::vector<std::string> corpus_lines() {
   std::vector<std::string> lines;
@@ -39,20 +42,20 @@ std::vector<std::string> corpus_lines() {
   // a few monitors, with some intra-AS churn so halves see traffic.
   for (int i = 0; i < 6; ++i) {
     const std::string a = std::to_string(2 + i);
-    lines.push_back("0|10.2.0." + a + "|10.1.0.1@1 10.1.0." + a +
-                    "@2 10.2.0.1@3 10.2.0." + a + "@4");
-    lines.push_back("1|10.3.0." + a + "|10.2.0.1@1 10.2.0." + a +
-                    "@2 10.3.0.1@3 10.3.0." + a + "@4");
-    lines.push_back("2|10.1.0." + a + "|10.3.0.1@1 10.3.0." + a +
-                    "@2 10.2.0.1@3 10.2.0." + a + "@4 10.1.0.1@5 10.1.0." +
+    lines.push_back("0|11.2.0." + a + "|11.1.0.1@1 11.1.0." + a +
+                    "@2 11.2.0.1@3 11.2.0." + a + "@4");
+    lines.push_back("1|11.3.0." + a + "|11.2.0.1@1 11.2.0." + a +
+                    "@2 11.3.0.1@3 11.3.0." + a + "@4");
+    lines.push_back("2|11.1.0." + a + "|11.3.0.1@1 11.3.0." + a +
+                    "@2 11.2.0.1@3 11.2.0." + a + "@4 11.1.0.1@5 11.1.0." +
                     a + "@6");
   }
   for (int i = 0; i < 6; ++i) {
     const std::string a = std::to_string(20 + i);
-    lines.push_back("0|10.3.0." + a + "|10.1.0.1@1 10.1.0." + a +
-                    "@2 10.2.0.40@3 10.3.0.1@4 10.3.0." + a + "@5");
-    lines.push_back("1|10.1.0." + a + "|10.2.0.40@1 10.2.0." + a +
-                    "@2 10.1.0.1@3 10.1.0." + a + "@4");
+    lines.push_back("0|11.3.0." + a + "|11.1.0.1@1 11.1.0." + a +
+                    "@2 11.2.0.40@3 11.3.0.1@4 11.3.0." + a + "@5");
+    lines.push_back("1|11.1.0." + a + "|11.2.0.40@1 11.2.0." + a +
+                    "@2 11.1.0.1@3 11.1.0." + a + "@4");
   }
   return lines;
 }
@@ -108,10 +111,16 @@ class IngestEquivalenceTest : public ::testing::Test {
     return setup;
   }
 
-  /// Cold reference: one pipeline over the full corpus, no folds.
+  /// Cold reference: one pipeline over the full corpus, no folds. Guarded
+  /// against vacuity: the cold graph has records, and the base-only
+  /// snapshot differs from it, so matching it proves the deltas landed.
   std::string cold_bytes(unsigned threads) const {
     const ingest::IngestPipeline pipeline(setup(full_path_, threads));
-    return pipeline.serialize();
+    EXPECT_GT(pipeline.interfaces(), 0u);
+    std::string cold = pipeline.serialize();
+    EXPECT_NE(cold,
+              ingest::IngestPipeline(setup(base_path_, threads)).serialize());
+    return cold;
   }
 
   fs::path dir_;

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "failing_stream.h"
 #include "net/error.h"
 #include "topo/generator.h"
 
@@ -61,6 +62,12 @@ TEST(TruthIo, RejectsMalformed) {
     std::stringstream stream("1.0.0.1|1.0.0.2|x|200\n");
     EXPECT_THROW((void)read_true_links(stream), mapit::ParseError);
   }
+}
+
+TEST(TruthIo, ReadErrorMidFileThrowsInsteadOfTruncating) {
+  testutil::expect_read_error(
+      "11.0.0.1|11.0.0.2|100|200\n11.0.0.5|11.0.0.6|100|300\n11.0.0", "truth",
+      [](std::istream& in) { return read_true_links(in); });
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
+#include <streambuf>
 #include <string>
+#include <utility>
 
+#include "failing_stream.h"
 #include "net/error.h"
 #include "test_util.h"
 
@@ -146,6 +150,54 @@ TEST(TraceIo, LenientCleanCorpusReportsNothing) {
   EXPECT_EQ(report.skipped(), 0u);
   EXPECT_EQ(report.loaded(), 2u);
   EXPECT_EQ(report.summary("traces"), "");
+}
+
+TEST(TraceIo, ReadErrorMidFileThrowsInsteadOfTruncating) {
+  // Two complete traces, then the read fails inside the third.
+  const std::string prefix =
+      "0|9.9.9.9|1.0.0.1\n1|9.9.9.9|1.0.0.2\n2|9.9.9.9|1.0";
+  for (const unsigned threads : {1u, 2u}) {
+    testutil::expect_read_error(prefix, "trace corpus",
+                                [threads](std::istream& in) {
+                                  return read_corpus(in, threads);
+                                });
+    testutil::expect_read_error(prefix, "trace corpus",
+                                [threads](std::istream& in) {
+                                  LoadReport report;
+                                  return read_corpus(in, threads, &report);
+                                });
+  }
+}
+
+TEST(TraceIo, ReadsNonSeekableStreams) {
+  // A pipe-like streambuf: no seeking, data arrives in small pieces.
+  class Trickle : public std::streambuf {
+   public:
+    explicit Trickle(std::string data) : data_(std::move(data)) {}
+
+   protected:
+    int_type underflow() override {
+      if (at_ == data_.size()) return traits_type::eof();
+      const std::size_t n = std::min<std::size_t>(7, data_.size() - at_);
+      setg(data_.data() + at_, data_.data() + at_, data_.data() + at_ + n);
+      at_ += n;
+      return traits_type::to_int_type(*gptr());
+    }
+
+   private:
+    std::string data_;
+    std::size_t at_ = 0;
+  };
+  std::string text;
+  for (int i = 0; i < 2000; ++i) {
+    text += std::to_string(i) + "|9.9.9.9|1.0.0." + std::to_string(i % 250) +
+            " *\n";
+  }
+  Trickle buffer(text);
+  std::istream in(&buffer);
+  const TraceCorpus corpus = read_corpus(in, 2);
+  ASSERT_EQ(corpus.size(), 2000u);
+  EXPECT_EQ(format_trace(corpus.traces()[1999]), "1999|9.9.9.9|1.0.0.249 *");
 }
 
 TEST(TraceIo, RandomTraceRoundTrip) {

@@ -462,12 +462,10 @@ struct RunPipeline {
   core::Options options;
   std::optional<CheckpointSetup> checkpoint;
   core::SupervisorOptions supervisor;
-  trace::TraceCorpus corpus;
   bgp::Rib rib;
   asdata::AsRelationships rels;
   asdata::As2Org orgs;
   asdata::IxpRegistry ixps;
-  trace::SanitizeResult sanitized;
   std::unique_ptr<graph::InterfaceGraph> graph;
   std::unique_ptr<bgp::Ip2As> ip2as;
 
@@ -553,8 +551,8 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
   LoadReport trace_report;
   LoadReport rib_report;
   auto traces_stream = open_or_die(*traces_path);
-  pipeline->corpus = trace::read_corpus(traces_stream, options.threads,
-                                        lenient ? &trace_report : nullptr);
+  trace::TraceCorpus corpus = trace::read_corpus(
+      traces_stream, options.threads, lenient ? &trace_report : nullptr);
   auto rib_stream = open_or_die(*rib_path);
   pipeline->rib = bgp::Rib::read(rib_stream, lenient ? &rib_report : nullptr);
   if (lenient) {
@@ -596,15 +594,15 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
     setup.meta.datasets_fingerprint = datasets;
   }
 
-  pipeline->sanitized = trace::sanitize(pipeline->corpus, options.threads);
-  std::cerr << "sanitized " << pipeline->corpus.size() << " traces ("
-            << pipeline->sanitized.stats.discarded_traces << " discarded, "
-            << pipeline->sanitized.stats.removed_ttl0_hops
-            << " TTL=0 hops removed)\n";
+  // The graph keeps what it needs; the traces die with this scope.
+  const trace::SanitizeResult sanitized =
+      trace::sanitize(std::move(corpus), options.threads);
+  std::cerr << "sanitized " << sanitized.stats.input_traces << " traces ("
+            << sanitized.stats.discarded_traces << " discarded, "
+            << sanitized.stats.removed_ttl0_hops << " TTL=0 hops removed)\n";
 
-  const auto all_addresses = pipeline->corpus.distinct_addresses();
   pipeline->graph = std::make_unique<graph::InterfaceGraph>(
-      pipeline->sanitized.clean, all_addresses, options.threads);
+      sanitized.clean, sanitized.addresses, options.threads);
   pipeline->ip2as = std::make_unique<bgp::Ip2As>(
       pipeline->rib, net::PrefixTrie<asdata::Asn>{}, &pipeline->ixps);
   std::cerr << "interface graph: " << pipeline->graph->size()
@@ -1363,7 +1361,7 @@ int cmd_paths(Args& args) {
   LoadReport trace_report;
   LoadReport rib_report;
   auto traces_stream = open_or_die(*traces_path);
-  const trace::TraceCorpus corpus = trace::read_corpus(
+  trace::TraceCorpus corpus = trace::read_corpus(
       traces_stream, threads, lenient ? &trace_report : nullptr);
   auto rib_stream = open_or_die(*rib_path);
   const bgp::Rib rib =
@@ -1388,9 +1386,9 @@ int cmd_paths(Args& args) {
     ixps = asdata::IxpRegistry::read(stream);
   }
 
-  const auto sanitized = trace::sanitize(corpus, threads);
-  const auto all_addresses = corpus.distinct_addresses();
-  const graph::InterfaceGraph graph(sanitized.clean, all_addresses, threads);
+  const auto sanitized = trace::sanitize(std::move(corpus), threads);
+  const graph::InterfaceGraph graph(sanitized.clean, sanitized.addresses,
+                                    threads);
   const bgp::Ip2As ip2as(rib, net::PrefixTrie<asdata::Asn>{}, &ixps);
   core::Options paths_options;
   paths_options.threads = threads;
@@ -1491,15 +1489,16 @@ int cmd_stats(Args& args) {
   args.reject_unknown();
   LoadReport trace_report;
   auto stream = open_or_die(*traces_path);
-  const trace::TraceCorpus corpus =
+  trace::TraceCorpus corpus =
       trace::read_corpus(stream, threads, lenient ? &trace_report : nullptr);
   if (lenient) report_quarantine("traces", trace_report);
-  const auto sanitized = trace::sanitize(corpus, threads);
-  const auto all_addresses = corpus.distinct_addresses();
-  const graph::InterfaceGraph graph(sanitized.clean, all_addresses, threads);
+  const auto sanitized = trace::sanitize(std::move(corpus), threads);
+  const graph::InterfaceGraph graph(sanitized.clean, sanitized.addresses,
+                                    threads);
   const graph::GraphStats gs = graph.stats();
 
-  std::cout << "traces                : " << corpus.size() << "\n"
+  std::cout << "traces                : " << sanitized.stats.input_traces
+            << "\n"
             << "discarded (cycles)    : " << sanitized.stats.discarded_traces
             << " (" << 100.0 * sanitized.stats.discard_fraction() << "%)\n"
             << "TTL=0 hops removed    : " << sanitized.stats.removed_ttl0_hops
