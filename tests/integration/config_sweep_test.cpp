@@ -4,6 +4,7 @@
 // exact-truth network.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "baselines/claims.h"
@@ -16,6 +17,11 @@ struct SweepCase {
   const char* name;
   void (*tweak)(eval::ExperimentConfig&);
 };
+
+// Without a printer gtest renders GetParam() as the struct's raw bytes, two
+// addresses that move with ASLR, and gtest_discover_tests copies that text
+// into the ctest name; printing the case name keeps the names stable.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 void all_slash31(eval::ExperimentConfig& c) {
   c.topology.slash31_prob = 1.0;
