@@ -1,15 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
 // longest-prefix-match lookups, the cold path's layers (parsing,
-// sanitization, distinct addresses, neighbour-set construction), and the
-// end-to-end MAP-IT engine at two corpus scales.
+// sanitization, distinct addresses, neighbour-set construction), the ingest
+// fold, and the end-to-end MAP-IT engine at two corpus scales.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "baselines/claims.h"
 #include "eval/experiment.h"
+#include "graph/interface_graph.h"
+#include "trace/sanitize.h"
 #include "trace/trace_io.h"
 
 namespace {
@@ -87,6 +91,52 @@ void BM_InterfaceGraphBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterfaceGraphBuild)->Unit(benchmark::kMillisecond);
+
+// One ingest fold, as `mapit ingest` folds each 1,000-trace batch: sanitize
+// the delta, merge its addresses into the witness population, fold it into
+// the graph (which rebuilds the dense layout). The graph holds the standard
+// corpus but its last 8,000 traces; each iteration folds the next of those
+// eight deltas into a fresh copy of it (the copy is not timed).
+void BM_GraphFold(benchmark::State& state) {
+  constexpr std::size_t kDeltaTraces = 1000;
+  constexpr std::size_t kDeltas = 8;
+  const std::vector<trace::Trace>& raw =
+      shared_experiment().raw_corpus().traces();
+  const auto corpus_of = [&](std::size_t begin, std::size_t end) {
+    return trace::TraceCorpus(std::vector<trace::Trace>(
+        raw.begin() + static_cast<std::ptrdiff_t>(begin),
+        raw.begin() + static_cast<std::ptrdiff_t>(end)));
+  };
+  const std::size_t base_traces = raw.size() - kDeltaTraces * kDeltas;
+  const trace::SanitizeResult base = trace::sanitize(corpus_of(0, base_traces));
+  const graph::InterfaceGraph base_graph(base.clean, base.addresses);
+  std::vector<trace::TraceCorpus> deltas;
+  for (std::size_t d = 0; d < kDeltas; ++d) {
+    const std::size_t begin = base_traces + d * kDeltaTraces;
+    deltas.push_back(corpus_of(begin, begin + kDeltaTraces));
+  }
+
+  std::size_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    graph::InterfaceGraph graph = base_graph;
+    std::vector<net::Ipv4Address> population = base.addresses;
+    const trace::TraceCorpus& delta = deltas[next++ % kDeltas];
+    state.ResumeTiming();
+    const trace::SanitizeResult sanitized = trace::sanitize(delta);
+    const std::size_t kept = population.size();
+    population.insert(population.end(), sanitized.addresses.begin(),
+                      sanitized.addresses.end());
+    std::inplace_merge(population.begin(),
+                       population.begin() + static_cast<std::ptrdiff_t>(kept),
+                       population.end());
+    population.erase(std::unique(population.begin(), population.end()),
+                     population.end());
+    graph.fold(sanitized.clean, population);
+    benchmark::DoNotOptimize(graph.half_count());
+  }
+}
+BENCHMARK(BM_GraphFold)->Unit(benchmark::kMillisecond);
 
 void BM_MapItEngineSmall(benchmark::State& state) {
   const auto& experiment = small_experiment();

@@ -8,14 +8,15 @@
 
 #include "core/wire.h"
 #include "fault/atomic_file.h"
+#include "net/crc32.h"
 
 namespace mapit::core {
 
 namespace {
 
+using net::crc32;
 using wire::append_u32;
 using wire::append_u64;
-using wire::crc32;
 using wire::Cursor;
 
 constexpr char kMagic[8] = {'M', 'A', 'P', 'I', 'T', 'C', 'K', 'P'};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <tuple>
 #include <utility>
 
 #include "core/checkpoint.h"
@@ -42,6 +43,7 @@ Engine::Engine(const graph::InterfaceGraph& graph, const bgp::Ip2As& ip2as,
   view_group_.resize(halves);
   touched_.assign(halves, 0);
   dirty_flag_.assign(halves, 0);
+  stale_.reserve(halves);  // one buffer for every pass's stale ids
 
   const unsigned threads = parallel::resolve_threads(options_.threads);
   if (threads > 1) pool_ = std::make_unique<parallel::ThreadPool>(threads);
@@ -68,6 +70,10 @@ void Engine::reset_state() {
         asn == asdata::kUnknownAsn ? 0 : group_key(asn);
     base_group_[id] = base_group_[id + 1] = key;
   }
+  // No half carries an override yet: the frozen view is the base mapping.
+  view_ = base_;
+  view_group_ = base_group_;
+  stale_.clear();
   dirty_.clear();
   work_.clear();
   std::fill(touched_.begin(), touched_.end(), 0);
@@ -84,27 +90,36 @@ asdata::Asn Engine::effective_as(HalfId id) const {
   return base_[id];
 }
 
+std::pair<asdata::Asn, std::uint64_t> Engine::view_entry(HalfId id) const {
+  const HalfState& st = halves_[id];
+  if (st.direct_override) {
+    return {*st.direct_override, group_key(*st.direct_override)};
+  }
+  if (st.indirect_override) {
+    return {*st.indirect_override, group_key(*st.indirect_override)};
+  }
+  return {base_[id], base_group_[id]};
+}
+
 void Engine::freeze_view() {
-  // Pure per-id transcription of current state into the frozen slabs;
-  // workers own disjoint ranges, so the parallel fill is race-free and
-  // produces the same bytes as the sequential loop.
-  parallel::for_ranges(
-      pool_.get(), halves_.size(),
-      [this](unsigned, std::size_t begin, std::size_t end) {
-        for (std::size_t id = begin; id < end; ++id) {
-          const HalfState& st = halves_[id];
-          if (st.direct_override) {
-            view_[id] = *st.direct_override;
-            view_group_[id] = group_key(*st.direct_override);
-          } else if (st.indirect_override) {
-            view_[id] = *st.indirect_override;
-            view_group_[id] = group_key(*st.indirect_override);
-          } else {
-            view_[id] = base_[id];
-            view_group_[id] = base_group_[id];
-          }
-        }
-      });
+  // A view entry is a function of the half's effective mapping alone (an
+  // override is always a known ASN, whose group key base_group_ would
+  // hold too), and every change of that mapping goes through
+  // mutate_mapping, which lists the half in stale_. So only those halves
+  // can differ from the view; a pass changes few mappings.
+  for (HalfId id : stale_) {
+    std::tie(view_[id], view_group_[id]) = view_entry(id);
+  }
+  stale_.clear();
+#ifndef NDEBUG
+  for (std::size_t id = 0; id < halves_.size(); ++id) {
+    if (std::make_pair(view_[id], view_group_[id]) !=
+        view_entry(static_cast<HalfId>(id))) {
+      throw InvariantError("engine frozen view is stale at half " +
+                           std::to_string(id));
+    }
+  }
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +223,10 @@ template <typename Fn>
 void Engine::mutate_mapping(HalfId id, Fn&& fn) {
   const asdata::Asn before = effective_as(id);
   fn(halves_[id]);
-  if (effective_as(id) != before) mark_dependents_dirty(id);
+  if (effective_as(id) != before) {
+    mark_dependents_dirty(id);
+    stale_.push_back(id);
+  }
 }
 
 void Engine::take_work() {
@@ -1038,6 +1056,12 @@ void Engine::restore_state(const std::string& blob) {
   // caller never runs on a half-restored engine).
   stats_ = stats;
   tracker_ = std::move(tracker);
+  // The restored overrides bypassed mutate_mapping, so stale_ knows none
+  // of them: transcribe every half once.
+  const std::size_t halves = halves_.size();
+  for (std::size_t id = 0; id < halves; ++id) {
+    std::tie(view_[id], view_group_[id]) = view_entry(static_cast<HalfId>(id));
+  }
 }
 
 const Inference* Result::find(const graph::InterfaceHalf& half) const {

@@ -24,6 +24,8 @@
 // halves whose neighbour mappings changed (dirty-set propagation through
 // the graph's reverse adjacency); the first pass of every step is a full
 // sweep, which keeps inference output identical to a full-recount engine.
+// Freezing the view is change-driven too: it re-transcribes only the halves
+// whose effective mapping changed since the last freeze.
 // See DESIGN.md "Dense engine state" for the invariants.
 //
 // Threading: the full-sweep first pass of each add/remove step evaluates
@@ -40,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "asdata/as2org.h"
@@ -226,8 +229,13 @@ class Engine {
   // --- mapping views -------------------------------------------------
   /// The effective mapping of a half right now (overrides, then base).
   [[nodiscard]] asdata::Asn effective_as(HalfId id) const;
-  /// Rebuilds view_ / view_group_ from the current state (the per-pass
-  /// mapping freeze of §4.4.5).
+  /// What the frozen view holds for `id` under the current state: its
+  /// effective mapping and that mapping's sibling group key.
+  [[nodiscard]] std::pair<asdata::Asn, std::uint64_t> view_entry(
+      HalfId id) const;
+  /// Brings view_ / view_group_ up to the current state (the per-pass
+  /// mapping freeze of §4.4.5) by re-transcribing only the stale halves.
+  /// Debug builds then check the result against a full transcription.
   void freeze_view();
 
   // --- counting ------------------------------------------------------
@@ -256,7 +264,8 @@ class Engine {
   /// mapping changes.
   void mark_dependents_dirty(HalfId id);
   /// Wraps a state mutation: records the effective mapping before, runs the
-  /// mutation, and marks dependents dirty if the mapping changed.
+  /// mutation, and if the mapping changed marks dependents dirty and lists
+  /// the half as stale for the next freeze_view.
   template <typename Fn>
   void mutate_mapping(HalfId id, Fn&& fn);
   /// Drains the pending dirty set into work_ (sorted ascending so the
@@ -305,7 +314,8 @@ class Engine {
   /// Canonical serialized engine state (the §4.6 repetition check compares
   /// these byte-for-byte; see core/convergence.h).
   [[nodiscard]] std::string state_signature() const;
-  /// Inverse of save_state(). Overwrites halves_/touched_/stats_/tracker_;
+  /// Inverse of save_state(). Overwrites halves_/touched_/stats_/tracker_
+  /// and re-transcribes the whole frozen view from the restored state;
   /// throws CheckpointError on any malformed or mismatched blob (wrong
   /// version, half count differing from this graph, out-of-range ids,
   /// truncation, trailing bytes). reset_state() must have run first.
@@ -327,6 +337,10 @@ class Engine {
   std::vector<std::uint64_t> base_group_;  ///< sibling group key of base_
   std::vector<asdata::Asn> view_;          ///< frozen effective mapping
   std::vector<std::uint64_t> view_group_;  ///< sibling group key of view_
+  /// Halves whose effective mapping changed since the last freeze_view
+  /// (fed by mutate_mapping; may repeat an id). Every other half's view_
+  /// entry is already current.
+  std::vector<HalfId> stale_;
   /// Halves that ever held engine state this run. The convergence
   /// signature covers exactly these (even when currently empty), so the
   /// repetition check is sensitive to the same states a lazily-populated

@@ -1,14 +1,10 @@
 // Low-level wire helpers shared by the checkpoint/journal artifact family
-// (checkpoint.cpp, journal.cpp): host-endian integer append, a
-// bounds-checked cursor, and CRC-32.
+// (checkpoint.cpp, journal.cpp): host-endian integer append and a
+// bounds-checked cursor. Their CRC-32 is net/crc32.h, shared with store/.
 //
-// Internal to core — not part of the public surface. store/ has an
-// identical CRC implementation, but core cannot depend on store (store
-// depends on core), so the table lives here too — 1 KiB of constants is
-// cheaper than a layering cycle.
+// Internal to core — not part of the public surface.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -28,31 +24,6 @@ inline void append_u32(std::string& out, std::uint32_t value) {
 
 inline void append_u64(std::string& out, std::uint64_t value) {
   out.append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-/// CRC-32 (IEEE 802.3, reflected).
-[[nodiscard]] inline const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
-
-[[nodiscard]] inline std::uint32_t crc32(std::string_view bytes) {
-  const auto& table = crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : bytes) {
-    crc = (crc >> 8) ^ table[(crc ^ static_cast<std::uint8_t>(c)) & 0xFFu];
-  }
-  return crc ^ 0xFFFFFFFFu;
 }
 
 /// Bounds-checked forward reader over a byte buffer; every overrun is a

@@ -184,14 +184,25 @@ void InterfaceGraph::add(std::span<const Pair> pairs) {
 void InterfaceGraph::build_dense_layout() {
   const std::size_t n = records_.size();
 
+  // Every address this build resolves (neighbours, other sides) is a
+  // record or a phantom, so one flat table maps each to its interface
+  // index: records first, then phantoms as they are discovered. It lives
+  // only for the build and is sized once (a record adds at most one
+  // phantom); the public point lookups keep their binary search.
+  net::AddressIndex index;
+  index.reserve(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    index.insert(records_[i].address, static_cast<std::uint32_t>(i));
+  }
+
   // Other sides, and phantom addresses: other sides of records that are
   // not records themselves, discovered in record order.
   phantoms_.clear();
   for (InterfaceRecord& record : records_) {
     record.other_side = other_sides_.other_side(record.address);
     const net::Ipv4Address os = record.other_side.address;
-    if (find(os) != nullptr || (!phantoms_.empty() && phantoms_.back() == os)) {
-      continue;
+    if (!index.insert(os, static_cast<std::uint32_t>(n + phantoms_.size()))) {
+      continue;  // a record, or a phantom found before
     }
     MAPIT_ENSURE(phantoms_.empty() || phantoms_.back() < os,
                  "interface graph phantoms out of address order");
@@ -220,9 +231,9 @@ void InterfaceGraph::build_dense_layout() {
     for (Direction d : {Direction::kForward, Direction::kBackward}) {
       const std::uint32_t bit = direction_bit(opposite(d));
       for (net::Ipv4Address neighbor : records_[i].neighbors(d)) {
-        const std::size_t index = index_of(neighbor);
-        MAPIT_ENSURE(index < n, "interface graph neighbour without a record");
-        neighbor_ids_[cursor++] = static_cast<HalfId>(2 * index + bit);
+        const std::uint32_t at = index.find(neighbor);
+        MAPIT_ENSURE(at < n, "interface graph neighbour without a record");
+        neighbor_ids_[cursor++] = 2 * at + bit;
       }
     }
   }
@@ -250,12 +261,14 @@ void InterfaceGraph::build_dense_layout() {
   // is a record or a phantom by construction); a phantom's own other side
   // may fall outside the universe.
   other_ids_.resize(halves);
-  for (std::size_t index = 0; index < halves / 2; ++index) {
+  for (std::size_t i = 0; i < halves / 2; ++i) {
     const net::Ipv4Address os =
-        index < n ? records_[index].other_side.address
-                  : other_sides_.other_address(phantoms_[index - n]);
-    other_ids_[2 * index] = half_id(backward_half(os));
-    other_ids_[2 * index + 1] = half_id(forward_half(os));
+        i < n ? records_[i].other_side.address
+              : other_sides_.other_address(phantoms_[i - n]);
+    const std::uint32_t at = index.find(os);
+    const bool known = at != net::AddressIndex::kAbsent;
+    other_ids_[2 * i] = known ? 2 * at + 1 : kInvalidHalfId;  // backward half
+    other_ids_[2 * i + 1] = known ? 2 * at : kInvalidHalfId;  // forward half
   }
 }
 

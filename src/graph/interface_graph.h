@@ -170,8 +170,9 @@ class InterfaceGraph {
   [[nodiscard]] std::size_t index_of(net::Ipv4Address address) const;
 
   std::vector<InterfaceRecord> records_;  // sorted by address
-  /// records_[i].address, contiguous: every address lookup binary-searches
-  /// this instead of striding through the records.
+  /// records_[i].address, contiguous: the point lookups (find, half_id)
+  /// binary-search this instead of striding through the records. The dense
+  /// layout build resolves its addresses through a transient hash index.
   std::vector<net::Ipv4Address> addresses_;
   OtherSideMap other_sides_;
 

@@ -1,21 +1,51 @@
 #include "graph/other_side.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "net/point_to_point.h"
 
 namespace mapit::graph {
 
-OtherSideMap::OtherSideMap(std::span<const net::Ipv4Address> addresses)
-    : seen_(addresses.begin(), addresses.end()) {
-  if (!std::is_sorted(seen_.begin(), seen_.end())) {
-    std::sort(seen_.begin(), seen_.end());
+OtherSideMap::OtherSideMap(std::span<const net::Ipv4Address> addresses) {
+  if (!std::is_sorted(addresses.begin(), addresses.end())) {
+    std::vector<net::Ipv4Address> sorted(addresses.begin(), addresses.end());
+    std::sort(sorted.begin(), sorted.end());
+    *this = OtherSideMap(sorted);
+    return;
   }
-  seen_.erase(std::unique(seen_.begin(), seen_.end()), seen_.end());
-}
-
-bool OtherSideMap::seen(net::Ipv4Address address) const {
-  return std::binary_search(seen_.begin(), seen_.end(), address);
+  const auto reserved = [](net::Ipv4Address a) {
+    return !net::is_slash30_host(a);
+  };
+  witnesses_.reserve(static_cast<std::size_t>(
+      std::count_if(addresses.begin(), addresses.end(), reserved)));
+  // Sorted input keeps each /30 block contiguous. A block holding a
+  // witness is /31-numbered throughout: its reserved members by
+  // definition, its hosts by the witness. A block without one holds only
+  // hosts, all /30-numbered.
+  std::size_t slash31 = 0;
+  for (std::size_t i = 0; i < addresses.size();) {
+    const std::uint32_t block = addresses[i].value() & ~0x3u;
+    std::size_t distinct = 0;
+    bool witnessed = false;
+    std::size_t j = i;
+    for (; j < addresses.size() && (addresses[j].value() & ~0x3u) == block;
+         ++j) {
+      if (j > i && addresses[j] == addresses[j - 1]) continue;
+      ++distinct;
+      if (reserved(addresses[j])) {
+        witnessed = true;
+        witnesses_.insert(addresses[j].value());
+      }
+    }
+    size_ += distinct;
+    if (witnessed) slash31 += distinct;
+    i = j;
+  }
+  if (size_ != 0) {
+    slash31_fraction_ =
+        static_cast<double>(slash31) / static_cast<double>(size_);
+  }
 }
 
 OtherSide OtherSideMap::other_side(net::Ipv4Address address) const {
@@ -26,18 +56,10 @@ OtherSide OtherSideMap::other_side(net::Ipv4Address address) const {
   // Valid /30 host. If any *different* address occupying a reserved slot of
   // this /30 was seen, the block must be split into /31s.
   const std::uint32_t base = address.value() & ~0x3u;
-  if (seen(net::Ipv4Address(base)) || seen(net::Ipv4Address(base | 0x3u))) {
+  if (witnesses_.contains(base) || witnesses_.contains(base | 0x3u)) {
     return {net::slash31_other_side(address), PrefixInference::kSlash31Witness};
   }
   return {*net::slash30_other_side(address), PrefixInference::kSlash30};
-}
-
-double OtherSideMap::slash31_fraction() const {
-  if (seen_.empty()) return 0.0;
-  const auto slash31 = std::count_if(
-      seen_.begin(), seen_.end(),
-      [&](net::Ipv4Address address) { return other_side(address).is_slash31(); });
-  return static_cast<double>(slash31) / static_cast<double>(seen_.size());
 }
 
 }  // namespace mapit::graph

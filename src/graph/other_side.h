@@ -16,8 +16,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
+#include "net/flat_set.h"
 #include "net/ipv4.h"
 
 namespace mapit::graph {
@@ -39,13 +39,14 @@ struct OtherSide {
 };
 
 /// Immutable map from every dataset address to its inferred other side.
-/// The decision is a pure function of the address and the witness set, so
-/// the map stores only the sorted set and decides each query with at most
-/// two binary searches.
+/// The decision is a pure function of the address and the witnesses: the
+/// dataset addresses that are reserved in their /30 (low bits 00 or 11),
+/// the only ones a decision ever asks about. The map stores just those, in
+/// a flat hash set, and decides each query with at most two probes.
 class OtherSideMap {
  public:
   /// Builds the map from all addresses seen in any trace (any order,
-  /// duplicates allowed).
+  /// duplicates allowed; sorted input is not copied).
   explicit OtherSideMap(std::span<const net::Ipv4Address> addresses);
 
   /// The other side of `address`. Addresses not in the build set still get
@@ -59,14 +60,15 @@ class OtherSideMap {
 
   /// Fraction of build-set addresses inferred to be /31-numbered (the paper
   /// reports 40.4% on Ark).
-  [[nodiscard]] double slash31_fraction() const;
+  [[nodiscard]] double slash31_fraction() const { return slash31_fraction_; }
 
-  [[nodiscard]] std::size_t size() const { return seen_.size(); }
+  /// Distinct build-set addresses.
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  [[nodiscard]] bool seen(net::Ipv4Address address) const;
-
-  std::vector<net::Ipv4Address> seen_;  // sorted unique
+  net::FlatSet64 witnesses_;
+  std::size_t size_ = 0;
+  double slash31_fraction_ = 0.0;
 };
 
 }  // namespace mapit::graph

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "core/wire.h"
+#include "net/crc32.h"
 #include "query/server.h"
 
 namespace mapit::ingest {
@@ -24,7 +25,7 @@ using wire_cursor = core::wire::Cursor;
 using core::wire::append_u16;
 using core::wire::append_u32;
 using core::wire::append_u64;
-using core::wire::crc32;
+using net::crc32;
 
 using Clock = std::chrono::steady_clock;
 

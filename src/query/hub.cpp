@@ -53,7 +53,7 @@ std::string SnapshotHub::last_error() const {
 }
 
 bool SnapshotHub::refresh() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::mutex> lock(refresh_mutex_);
   FileIdentity identity;
   if (!stat_path(&identity)) {
     const std::lock_guard<std::mutex> error_lock(error_mutex_);
@@ -62,12 +62,21 @@ bool SnapshotHub::refresh() {
   }
   if (identity == identity_) return false;
   // The file changed under the path (the publisher renames a complete new
-  // file over it). Open + fully validate before anything is swapped; a
-  // file that fails validation leaves the previous generation serving.
+  // file over it). Open + fully validate (mmap, whole-payload CRC, query
+  // engine) before anything is swapped, outside mutex_ so readers keep
+  // pinning the previous generation meanwhile; a file that fails
+  // validation leaves that generation serving.
   try {
-    auto next = std::make_shared<LoadedSnapshot>(
-        store::SnapshotReader::open(path_, *io_), next_generation_);
-    current_ = std::move(next);
+    std::shared_ptr<const LoadedSnapshot> next =
+        std::make_shared<const LoadedSnapshot>(
+            store::SnapshotReader::open(path_, *io_), next_generation_);
+    {
+      const std::lock_guard<std::mutex> swap_lock(mutex_);
+      current_.swap(next);
+    }
+    // `next` now holds the previous generation. It is dropped at the end of
+    // this block, outside mutex_: when it was the last pin, its munmap
+    // does not delay a reader either.
     identity_ = identity;
     ++next_generation_;
     swaps_.fetch_add(1, std::memory_order_relaxed);

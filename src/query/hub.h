@@ -6,12 +6,14 @@
 // when the identity (inode/size/mtime) changed, opens + fully validates
 // the new file and swaps it in as a new *generation*.
 //
-// Readers never block and never see a mix: a server pins the current
-// generation once per read batch (one shared_ptr copy under a mutex) and
-// answers the whole batch from it, so every answer in a batch comes from
-// exactly one generation (pinned by the TSan hot-swap test). The old
-// generation's mmap is retired only when the last in-flight batch drops
-// its pin — connections survive a swap untouched.
+// Readers never block on a refresh and never see a mix: a server pins the
+// current generation once per read batch (one shared_ptr copy under a
+// mutex) and answers the whole batch from it, so every answer in a batch
+// comes from exactly one generation (pinned by the TSan hot-swap test).
+// refresh() opens and validates the new file before it takes that mutex,
+// and holds it only for the pointer swap. The old generation's mmap is
+// retired only when the last in-flight batch drops its pin — connections
+// survive a swap untouched.
 //
 // A refresh that fails validation (half-copied file, version skew, CRC
 // damage) is counted and ignored: the hub keeps serving the previous
@@ -104,10 +106,14 @@ class SnapshotHub {
   std::string path_;
   fault::Io* io_;
 
-  mutable std::mutex mutex_;  ///< guards current_ and identity_
-  std::shared_ptr<const LoadedSnapshot> current_;
+  /// Serializes refresh() calls; guards identity_ and next_generation_,
+  /// so a generation number and the file identity always land together.
+  std::mutex refresh_mutex_;
   FileIdentity identity_;
   std::uint64_t next_generation_ = 2;
+
+  mutable std::mutex mutex_;  ///< guards current_ only: readers take it
+  std::shared_ptr<const LoadedSnapshot> current_;
 
   std::atomic<std::uint64_t> swaps_{0};
   std::atomic<std::uint64_t> failed_{0};

@@ -11,9 +11,10 @@
 //
 // Every section is a sorted flat array of one fixed-size record type, so a
 // reader can binary-search the mmap'd bytes directly — no per-record
-// allocation or parsing on load. `payload_crc32` covers every byte after
-// the header (section table included); any bit flip past the header is
-// detected before a record is ever dereferenced.
+// allocation or parsing on load. `payload_crc32` (net::crc32, the IEEE
+// CRC-32) covers every byte after the header (section table included); any
+// bit flip past the header is detected before a record is ever
+// dereferenced.
 //
 // Versioning: `kSnapshotVersion` bumps on any layout change; readers reject
 // other versions outright (no in-place migration — snapshots are cheap to
@@ -141,11 +142,5 @@ struct MappingRecord {
   std::uint8_t reserved[3];
 };
 static_assert(sizeof(MappingRecord) == 12);
-
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum every snapshot
-/// pins its payload with. `seed` chains incremental updates:
-/// crc32(b, crc32(a)) == crc32(a + b).
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
-                                  std::uint32_t seed = 0);
 
 }  // namespace mapit::store

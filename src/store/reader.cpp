@@ -9,6 +9,8 @@
 #include <cstring>
 #include <utility>
 
+#include "net/crc32.h"
+
 namespace mapit::store {
 
 namespace {
@@ -147,7 +149,7 @@ void SnapshotReader::validate() {
   // CRC first: nothing past the header is interpreted until the payload is
   // known intact, so a bit flip can never steer record parsing.
   const std::uint32_t crc =
-      crc32(data_ + table_offset, size_ - table_offset);
+      net::crc32(data_ + table_offset, size_ - table_offset);
   if (crc != header.payload_crc32) {
     reject("payload CRC mismatch (artifact is corrupted)");
   }

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "fault/atomic_file.h"
+#include "net/crc32.h"
 #include "net/error.h"
 
 namespace mapit::store {
@@ -195,7 +196,7 @@ std::string serialize_snapshot(const SnapshotData& data) {
   header.version = kSnapshotVersion;
   header.file_size = out.size();
   header.section_count = kSectionCount;
-  header.payload_crc32 = crc32(out.data() + sizeof(SnapshotHeader),
+  header.payload_crc32 = net::crc32(out.data() + sizeof(SnapshotHeader),
                                out.size() - sizeof(SnapshotHeader));
   std::memcpy(out.data(), &header, sizeof(header));
   return out;

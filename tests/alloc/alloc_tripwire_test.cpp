@@ -1,8 +1,10 @@
-// Allocation tripwires for the cold path. Wall time on a shared host is
-// noise; heap allocation counts repeat exactly, so they pin the cost model:
-// parsing and sanitizing allocate per trace (its exact-size hop vector) and
-// nothing per hop, and the interface graph allocates per record (its two
-// neighbour lists) and nothing per adjacency occurrence.
+// Allocation tripwires for the cold path and the republish path. Wall time
+// on a shared host is noise; heap allocation counts repeat exactly, so they
+// pin the cost model: parsing and sanitizing allocate per trace (its
+// exact-size hop vector) and nothing per hop; the interface graph allocates
+// per record (its two neighbour lists) and nothing per adjacency
+// occurrence; the engine and the snapshot build allocate per output (result
+// entries, final mappings, links) and nothing per half or adjacency.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is a separate test executable.
@@ -18,8 +20,10 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "eval/experiment.h"
 #include "graph/interface_graph.h"
+#include "store/writer.h"
 #include "trace/sanitize.h"
 #include "trace/trace_io.h"
 
@@ -51,15 +55,27 @@ std::uint64_t allocations_of(Fn&& fn) {
   return g_allocations.load() - before;
 }
 
+const eval::Experiment& experiment() {
+  static const auto built =
+      eval::Experiment::build(eval::ExperimentConfig::small());
+  return *built;
+}
+
 const std::string& corpus_text() {
   static const std::string text = [] {
-    const auto experiment =
-        eval::Experiment::build(eval::ExperimentConfig::small());
     std::ostringstream out;
-    trace::write_corpus(out, experiment->raw_corpus());
+    trace::write_corpus(out, experiment().raw_corpus());
     return out.str();
   }();
   return text;
+}
+
+/// Traces [begin, end) of `traces` as a corpus.
+trace::TraceCorpus slice(const std::vector<trace::Trace>& traces,
+                         std::size_t begin, std::size_t end) {
+  return trace::TraceCorpus(std::vector<trace::Trace>(
+      traces.begin() + static_cast<std::ptrdiff_t>(begin),
+      traces.begin() + static_cast<std::ptrdiff_t>(end)));
 }
 
 /// Adjacency occurrences a graph build walks past (both hops responsive).
@@ -104,8 +120,7 @@ TEST(AllocTripwire, GraphBuildAndFoldAllocatePerRecordNotPerAdjacency) {
       trace::sanitize(trace::read_corpus(in, 1), 1);
   const std::vector<trace::Trace>& traces = sanitized.clean.traces();
   const std::size_t half = traces.size() / 2;
-  const trace::TraceCorpus base(std::vector<trace::Trace>(
-      traces.begin(), traces.begin() + static_cast<std::ptrdiff_t>(half)));
+  const trace::TraceCorpus base = slice(traces, 0, half);
 
   std::unique_ptr<graph::InterfaceGraph> graph;
   const std::uint64_t build = allocations_of([&] {
@@ -121,14 +136,54 @@ TEST(AllocTripwire, GraphBuildAndFoldAllocatePerRecordNotPerAdjacency) {
   // Folding the rest in 500-trace batches: a fold grows the neighbour
   // lists it extends (amortized), never allocates per adjacency.
   for (std::size_t at = half; at < traces.size(); at += 500) {
-    const trace::TraceCorpus delta(std::vector<trace::Trace>(
-        traces.begin() + static_cast<std::ptrdiff_t>(at),
-        traces.begin() +
-            static_cast<std::ptrdiff_t>(std::min(at + 500, traces.size()))));
+    const trace::TraceCorpus delta =
+        slice(traces, at, std::min(at + 500, traces.size()));
     const std::uint64_t fold = allocations_of(
         [&] { graph->fold(delta, sanitized.addresses, 1); });
     EXPECT_LE(fold, graph->size() + 100) << "fold at trace " << at;
   }
+}
+
+// What `mapit ingest` runs on every publish: the engine over the folded
+// graph, then the snapshot build and its serialization.
+TEST(AllocTripwire, EngineAndSnapshotAllocatePerOutputNotPerHalf) {
+  std::istringstream in(corpus_text());
+  const trace::SanitizeResult sanitized =
+      trace::sanitize(trace::read_corpus(in, 1), 1);
+  const std::vector<trace::Trace>& traces = sanitized.clean.traces();
+  const std::size_t half = traces.size() / 2;
+  graph::InterfaceGraph graph(slice(traces, 0, half), sanitized.addresses, 1);
+  graph.fold(slice(traces, half, traces.size()), sanitized.addresses, 1);
+  const std::size_t halves = graph.half_count();
+  ASSERT_GT(halves, 1000u);
+
+  core::Options options;
+  options.threads = 1;
+  core::Result result;
+  const std::uint64_t engine = allocations_of([&] {
+    result = core::run_mapit(graph, experiment().ip2as(), experiment().orgs(),
+                             experiment().relationships(), options);
+  });
+  ASSERT_GT(result.final_mappings.size(), 100u);
+  // One hash node per final mapping; the result vectors, the per-half
+  // slabs and the work lists are each one buffer grown geometrically, and
+  // each iteration keeps one convergence signature: a constant.
+  EXPECT_LE(engine, result.final_mappings.size() + 200)
+      << result.final_mappings.size() << " final mappings";
+  EXPECT_LT(engine, halves / 2) << halves << " halves";
+
+  store::SnapshotData data;
+  std::string bytes;
+  const std::uint64_t publish = allocations_of([&] {
+    data = store::make_snapshot_data(result, graph, experiment().ip2as());
+    bytes = store::serialize_snapshot(data);
+  });
+  ASSERT_GT(data.links.size(), 100u);
+  // One map node per aggregated link; every section and the image are
+  // buffers grown geometrically.
+  EXPECT_LE(publish, data.links.size() + 100) << data.links.size()
+                                              << " links";
+  EXPECT_LT(publish, halves / 2) << halves << " halves";
 }
 
 }  // namespace

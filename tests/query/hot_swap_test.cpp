@@ -13,15 +13,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/io.h"
 #include "query/async_server.h"
 #include "query/server.h"
 #include "store/reader.h"
@@ -209,6 +213,61 @@ TEST_F(HotSwapTest, HealthReportsVersionGenerationAndSwaps) {
   async.stop();
 }
 
+/// Parks the snapshot reader's open inside a refresh() on a latch. A
+/// refresh opens the path twice: once to stat its identity, then in
+/// SnapshotReader::open. Once armed, the second open parks until released.
+class ParkingIo : public fault::Io {
+ public:
+  void arm() {
+    opens_since_arm_.store(0);
+    armed_.store(true);
+  }
+
+  int open(const char* path, int flags, ::mode_t mode) override {
+    if (armed_.load() && opens_since_arm_.fetch_add(1) == 1) {
+      armed_.store(false);
+      parked_.count_down();
+      release_.wait();
+    }
+    return fault::Io::open(path, flags, mode);
+  }
+
+  std::latch parked_{1};
+  std::latch release_{1};
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::atomic<int> opens_since_arm_{0};
+};
+
+// The hub opens and validates a republished snapshot outside the lock that
+// readers take: while a refresh sits inside the reader's open, current()
+// on another thread returns the previous generation at once.
+TEST_F(HotSwapTest, ReadersKeepTheOldGenerationWhileARefreshOpens) {
+  publish(path_, data_for(100));
+  ParkingIo io;
+  SnapshotHub hub(path_, io);
+  publish(path_, data_for(300));
+
+  io.arm();
+  std::future<bool> refreshed =
+      std::async(std::launch::async, [&] { return hub.refresh(); });
+  io.parked_.wait();
+
+  std::future<std::uint64_t> pinned = std::async(
+      std::launch::async, [&] { return hub.current()->generation; });
+  const bool answered =
+      pinned.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(answered) << "current() blocked behind a refresh's open";
+  io.release_.count_down();  // never leave the refresh parked
+  EXPECT_EQ(pinned.get(), 1u);
+
+  EXPECT_TRUE(refreshed.get());
+  EXPECT_EQ(hub.current()->generation, 2u);
+  EXPECT_EQ(hub.current()->engine.answer("lookup 10.0.0.1 f"),
+            answer_for(300, "lookup 10.0.0.1 f"));
+}
+
 // The soak: clients on both protocols hold their connections open while
 // the snapshot republishes repeatedly. Every two-query batch must answer
 // from exactly one generation, and no connection may drop. TSan builds run
@@ -260,7 +319,7 @@ TEST_F(HotSwapTest, ClientsSurviveRepeatedRepublishWithOneGenerationPerBatch) {
   // Republish + refresh continuously; alternate content so every swap is
   // observable in the answers.
   int swaps = 0;
-  for (int i = 1; i <= 20; ++i) {
+  for (std::size_t i = 1; i <= 20; ++i) {
     publish(path_, data_for(asns[i % 2]));
     if (hub.refresh()) ++swaps;
     std::this_thread::sleep_for(std::chrono::milliseconds{10});

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "net/crc32.h"
 #include "net/error.h"
 #include "store/reader.h"
 #include "store/writer.h"
@@ -48,8 +49,8 @@ SnapshotData sample_data() {
 /// tampered image gets past the CRC gate and exercises the later checks.
 std::string reseal(std::string bytes) {
   const std::uint32_t crc =
-      crc32(bytes.data() + sizeof(SnapshotHeader),
-            bytes.size() - sizeof(SnapshotHeader));
+      net::crc32(bytes.data() + sizeof(SnapshotHeader),
+                 bytes.size() - sizeof(SnapshotHeader));
   std::memcpy(bytes.data() + offsetof(SnapshotHeader, payload_crc32), &crc,
               sizeof(crc));
   return bytes;
@@ -77,11 +78,11 @@ void expect_equal(const SnapshotReader& reader, const SnapshotData& data) {
 
 TEST(SnapshotFormat, Crc32MatchesKnownVectors) {
   // The classic IEEE 802.3 check value.
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(crc32("", 0), 0u);
+  EXPECT_EQ(net::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(net::crc32("", 0), 0u);
   // Incremental chaining equals one-shot.
-  const std::uint32_t first = crc32("1234", 4);
-  EXPECT_EQ(crc32("56789", 5, first), 0xCBF43926u);
+  const std::uint32_t first = net::crc32("1234", 4);
+  EXPECT_EQ(net::crc32("56789", 5, first), 0xCBF43926u);
 }
 
 TEST(SnapshotRoundTrip, FromBytes) {
