@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
 // longest-prefix-match lookups, the cold path's layers (parsing,
-// sanitization, distinct addresses, neighbour-set construction), the ingest
-// fold, and the end-to-end MAP-IT engine at two corpus scales.
+// sanitization, distinct addresses, neighbour-set construction) and the
+// streaming pass that fuses them, the ingest fold, and the end-to-end
+// MAP-IT engine at two corpus scales.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -91,6 +92,23 @@ void BM_InterfaceGraphBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterfaceGraphBuild)->Unit(benchmark::kMillisecond);
+
+// The one streaming pass the CLI and the ingest base load run, from the
+// same text as BM_ReadCorpus to the graph: the fused counterpart of
+// BM_ReadCorpus + BM_Sanitize + BM_InterfaceGraphBuild.
+void BM_ReadGraph(benchmark::State& state) {
+  const auto& experiment = shared_experiment();
+  std::ostringstream out;
+  trace::write_corpus(out, experiment.raw_corpus());
+  const std::string text = out.str();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    benchmark::DoNotOptimize(graph::read_graph(in).graph.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(experiment.raw_corpus().size()));
+}
+BENCHMARK(BM_ReadGraph)->Unit(benchmark::kMillisecond);
 
 // One ingest fold, as `mapit ingest` folds each 1,000-trace batch: sanitize
 // the delta, merge its addresses into the witness population, fold it into

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "net/error.h"
 #include "net/flat_set.h"
 #include "net/special_purpose.h"
 #include "parallel/thread_pool.h"
+#include "trace/trace_io.h"
 
 namespace mapit::graph {
 
@@ -30,33 +32,24 @@ const std::vector<net::Ipv4Address>& empty_neighbors() {
   return empty;
 }
 
-/// The unique adjacencies of `corpus` that enter neighbour sets, sorted.
-/// Workers dedupe the occurrences of disjoint trace ranges into flat sets;
-/// the special-purpose test (a trie walk) then runs once per distinct
-/// endpoint of the merged set instead of twice per occurrence.
-std::vector<Pair> gather_pairs(const trace::TraceCorpus& corpus,
-                               unsigned threads) {
-  const std::vector<trace::Trace>& traces = corpus.traces();
-  const unsigned resolved = parallel::resolve_threads(threads);
-  std::optional<parallel::ThreadPool> pool;
-  if (resolved > 1 && traces.size() > 1) pool.emplace(resolved);
-  std::vector<net::FlatSet64> sets(pool ? pool->size() : 1);
-  parallel::for_ranges(
-      pool ? &*pool : nullptr, traces.size(),
-      [&](unsigned worker, std::size_t begin, std::size_t end) {
-        net::FlatSet64& set = sets[worker];
-        for (std::size_t t = begin; t < end; ++t) {
-          const std::vector<trace::TraceHop>& hops = traces[t].hops;
-          for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
-            const trace::TraceHop& a = hops[i];
-            const trace::TraceHop& b = hops[i + 1];
-            if (!a.address || !b.address) continue;  // null hops break adjacency
-            if (b.probe_ttl != a.probe_ttl + 1) continue;  // one hop apart
-            if (*a.address == *b.address) continue;  // never own neighbour
-            set.insert(pair_of(*a.address, *b.address));
-          }
-        }
-      });
+/// The per-trace step of pair gathering: adds the adjacencies of `trace`
+/// to `pairs`, each as one key however often it recurs.
+void add_adjacencies(const trace::Trace& trace, net::FlatSet64& pairs) {
+  const std::vector<trace::TraceHop>& hops = trace.hops;
+  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+    const trace::TraceHop& a = hops[i];
+    const trace::TraceHop& b = hops[i + 1];
+    if (!a.address || !b.address) continue;  // null hops break adjacency
+    if (b.probe_ttl != a.probe_ttl + 1) continue;  // one hop apart
+    if (*a.address == *b.address) continue;  // never own neighbour
+    pairs.insert(pair_of(*a.address, *b.address));
+  }
+}
+
+/// The unique adjacencies of per-worker pair sets that enter neighbour
+/// sets, sorted. The special-purpose test (a trie walk) runs once per
+/// distinct endpoint of the merged set instead of twice per occurrence.
+std::vector<Pair> sorted_pairs(std::span<net::FlatSet64> sets) {
   for (std::size_t w = 1; w < sets.size(); ++w) {
     sets[w].for_each([&](Pair pair) { sets[0].insert(pair); });
   }
@@ -79,6 +72,25 @@ std::vector<Pair> gather_pairs(const trace::TraceCorpus& corpus,
   });
   std::sort(pairs.begin(), pairs.end());
   return pairs;
+}
+
+/// The sorted unique adjacencies of `corpus` that enter neighbour sets.
+/// Workers dedupe the occurrences of disjoint trace ranges into flat sets.
+std::vector<Pair> gather_pairs(const trace::TraceCorpus& corpus,
+                               unsigned threads) {
+  const std::vector<trace::Trace>& traces = corpus.traces();
+  const unsigned resolved = parallel::resolve_threads(threads);
+  std::optional<parallel::ThreadPool> pool;
+  if (resolved > 1 && traces.size() > 1) pool.emplace(resolved);
+  std::vector<net::FlatSet64> sets(pool ? pool->size() : 1);
+  parallel::for_ranges(
+      pool ? &*pool : nullptr, traces.size(),
+      [&](unsigned worker, std::size_t begin, std::size_t end) {
+        for (std::size_t t = begin; t < end; ++t) {
+          add_adjacencies(traces[t], sets[worker]);
+        }
+      });
+  return sorted_pairs(sets);
 }
 
 /// Calls fn(address, run) for each run of `pairs` (sorted) sharing the
@@ -117,9 +129,30 @@ void merge_neighbors(std::vector<net::Ipv4Address>& list,
 InterfaceGraph::InterfaceGraph(const trace::TraceCorpus& sanitized,
                                std::span<const net::Ipv4Address> all_addresses,
                                unsigned threads)
+    : InterfaceGraph(gather_pairs(sanitized, threads), all_addresses) {}
+
+InterfaceGraph::InterfaceGraph(std::span<const Pair> pairs,
+                               std::span<const net::Ipv4Address> all_addresses)
     : other_sides_(all_addresses) {
-  add(gather_pairs(sanitized, threads));
+  add(pairs);
   build_dense_layout();
+}
+
+LoadedGraph read_graph(std::istream& in, unsigned threads,
+                       LoadReport* report) {
+  const unsigned workers = parallel::resolve_threads(threads);
+  std::vector<trace::SanitizeTally> tallies(workers);
+  std::vector<net::FlatSet64> pairs(workers);
+  trace::scan_traces(in, workers, report,
+                     [&](unsigned worker, trace::Trace& trace) {
+                       if (trace::sanitize_trace(trace, tallies[worker])) {
+                         add_adjacencies(trace, pairs[worker]);
+                       }
+                     });
+  std::vector<net::Ipv4Address> addresses;
+  const trace::SanitizeStats stats = trace::merge_tallies(tallies, addresses);
+  InterfaceGraph graph(sorted_pairs(pairs), addresses);
+  return {std::move(graph), stats, std::move(addresses)};
 }
 
 void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,

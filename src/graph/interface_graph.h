@@ -10,15 +10,20 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <vector>
 
 #include "graph/halves.h"
 #include "graph/other_side.h"
 #include "net/ipv4.h"
+#include "net/load_report.h"
+#include "trace/sanitize.h"
 #include "trace/trace.h"
 
 namespace mapit::graph {
+
+struct LoadedGraph;
 
 /// Dense contiguous identifier for an interface half.
 ///
@@ -161,6 +166,14 @@ class InterfaceGraph {
   [[nodiscard]] HalfId other_side_id(HalfId id) const { return other_ids_[id]; }
 
  private:
+  friend LoadedGraph read_graph(std::istream& in, unsigned threads,
+                                LoadReport* report);
+
+  /// Builds the graph from its sorted unique adjacencies as
+  /// `from << 32 | to` keys, special-purpose endpoints already dropped.
+  InterfaceGraph(std::span<const std::uint64_t> pairs,
+                 std::span<const net::Ipv4Address> all_addresses);
+
   /// Adds adjacencies given as sorted `from << 32 | to` keys, none of them
   /// already in the graph: endpoints without a record get one, then each
   /// pair is merged into its endpoints' sorted forward and backward lists.
@@ -187,5 +200,28 @@ class InterfaceGraph {
   std::vector<std::uint32_t> reverse_offsets_;   // size half_count() + 1
   std::vector<HalfId> other_ids_;                // per half id
 };
+
+/// A graph read straight from trace text, with what sanitizing saw.
+struct LoadedGraph {
+  InterfaceGraph graph;
+  trace::SanitizeStats stats;
+  /// Every distinct responding address of the raw traces, sorted: the §4.2
+  /// population the graph's other sides were decided over.
+  std::vector<net::Ipv4Address> addresses;
+};
+
+/// Reads trace text into its interface graph in one streaming pass. The
+/// result equals `sanitize(read_corpus(in, threads, report), threads)`
+/// followed by `InterfaceGraph(clean, addresses, threads)`: the same graph
+/// (every record, other side and HalfId), SanitizeStats and population,
+/// and the same strict-mode error or lenient-mode LoadReport.
+///
+/// No corpus and no copy of the file exist on the way: trace::scan_traces
+/// hands each of `threads` workers (0 = one per hardware thread) one parsed
+/// line at a time in its scratch trace, which the worker sanitizes in place
+/// and adds to its own flat address and pair sets. Memory is one block of
+/// input plus the distinct addresses and pairs, once per worker.
+[[nodiscard]] LoadedGraph read_graph(std::istream& in, unsigned threads = 1,
+                                     LoadReport* report = nullptr);
 
 }  // namespace mapit::graph

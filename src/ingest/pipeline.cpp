@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "net/error.h"
-#include "trace/trace_io.h"
 
 namespace mapit::ingest {
 
@@ -34,14 +33,11 @@ IngestPipeline::IngestPipeline(const IngestSetup& setup)
     : options_(setup.options) {
   {
     auto stream = open_or_throw(setup.traces_path);
-    trace::TraceCorpus corpus = trace::read_corpus(
+    graph::LoadedGraph loaded = graph::read_graph(
         stream, options_.threads, setup.lenient ? &trace_report_ : nullptr);
-    base_traces_ = corpus.size();
-    trace::SanitizeResult sanitized =
-        trace::sanitize(std::move(corpus), options_.threads);
-    all_addresses_ = std::move(sanitized.addresses);
-    graph_ = std::make_unique<graph::InterfaceGraph>(
-        sanitized.clean, all_addresses_, options_.threads);
+    base_traces_ = loaded.stats.input_traces;
+    all_addresses_ = std::move(loaded.addresses);
+    graph_ = std::make_unique<graph::InterfaceGraph>(std::move(loaded.graph));
   }
   {
     auto stream = open_or_throw(setup.rib_path);

@@ -1,10 +1,11 @@
 // Incremental MAP-IT pipeline: the in-memory state `mapit ingest` folds
 // delta traces into.
 //
-// The pipeline loads the base run once (corpus, RIB, optional AS datasets),
-// builds the interface graph, and then accepts delta batches: each batch is
-// sanitized independently (per-trace decisions — identical whether a trace
-// is sanitized in the base load or in a delta), its raw addresses are
+// The pipeline loads the base run once (the corpus streamed straight into
+// the interface graph by graph::read_graph, the RIB, optional AS datasets)
+// and then accepts delta batches: each batch is sanitized independently
+// (per-trace decisions — identical whether a trace is sanitized in the
+// base load or in a delta), its raw addresses are
 // merged into the corpus-wide address population (the §4.2 other-side
 // heuristic deliberately sees discarded traces too), and the graph is
 // folded via InterfaceGraph::fold. Publishing runs the full multipass

@@ -38,6 +38,10 @@ class LoadReport {
   /// Records one skipped line. Must be called in ascending line order.
   void record(std::size_t line_no, std::size_t byte_offset, std::string error);
 
+  /// Counts `n` more skipped lines without their details. Only for lines
+  /// that follow kMaxDetailed recorded ones, which are all the report keeps.
+  void add_skipped(std::size_t n) { skipped_ += n; }
+
   /// Lines skipped in total (detailed or not).
   [[nodiscard]] std::size_t skipped() const { return skipped_; }
 

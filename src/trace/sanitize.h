@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "net/flat_set.h"
 #include "net/ipv4.h"
 #include "trace/trace.h"
 
@@ -65,5 +67,28 @@ struct SanitizeResult {
 /// every thread count.
 [[nodiscard]] SanitizeResult sanitize(TraceCorpus corpus,
                                       unsigned threads = 1);
+
+/// What one worker's sanitize_trace calls have seen. Aligned to a cache
+/// line: workers keep one each, side by side, and count every trace.
+struct alignas(64) SanitizeTally {
+  std::size_t traces = 0;
+  std::size_t discarded = 0;
+  std::size_t removed_hops = 0;
+  /// Addresses of the hops that survive into clean traces, and of every
+  /// other raw hop. Each raw hop lands in exactly one of the two.
+  net::FlatSet64 kept;
+  net::FlatSet64 dropped;
+};
+
+/// The per-trace step of sanitize() and of graph::read_graph: strips the
+/// quoted-TTL-0 hops of `trace` in place and records it in `tally`. True
+/// when the trace is kept, false when an interface cycle discards it.
+bool sanitize_trace(Trace& trace, SanitizeTally& tally);
+
+/// The statistics of a pass whose workers kept `tallies`; sets `addresses`
+/// to the raw traces' distinct addresses, sorted (SanitizeResult::addresses).
+[[nodiscard]] SanitizeStats merge_tallies(
+    std::span<const SanitizeTally> tallies,
+    std::vector<net::Ipv4Address>& addresses);
 
 }  // namespace mapit::trace

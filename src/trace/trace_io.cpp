@@ -106,47 +106,24 @@ bool parse_line(std::string_view line, Trace& trace, std::string& error) {
   return true;
 }
 
-/// The rest of `in`, in one buffer. Seekable streams are sized up front;
-/// pipes grow the buffer as they go.
-std::string read_all(std::istream& in) {
-  std::string bytes;
-  std::streambuf* buffer = in.rdbuf();
-  if (in.good() && buffer != nullptr) {
-    const auto here = buffer->pubseekoff(0, std::ios::cur, std::ios::in);
-    const auto end = buffer->pubseekoff(0, std::ios::end, std::ios::in);
-    if (here != -1 && end != -1) {
-      buffer->pubseekpos(here, std::ios::in);
-      const std::streamoff remaining = end - here;
-      if (remaining > 0) bytes.resize(static_cast<std::size_t>(remaining));
-    }
-  }
-  std::size_t size = 0;
-  while (in.good()) {
-    if (size == bytes.size()) {
-      if (in.peek() == std::char_traits<char>::eof()) break;
-      bytes.resize(std::max<std::size_t>(4096, 2 * size));
-    }
-    in.read(bytes.data() + size,
-            static_cast<std::streamsize>(bytes.size() - size));
-    size += static_cast<std::size_t>(in.gcount());
-  }
-  check_read(in, "trace corpus");
-  bytes.resize(size);
-  return bytes;
-}
-
 /// A line that failed to parse, positioned within its worker's range.
 struct Failure {
-  std::size_t line = 0;    ///< 1-based among the lines the part owns
-  std::size_t offset = 0;  ///< absolute byte offset of the line
+  std::size_t line = 0;    ///< 1-based among the lines the range holds
+  std::size_t offset = 0;  ///< byte offset of the line in its block
   std::string detail;
 };
 
-/// What one worker parses: the lines that start inside its byte range.
-struct Part {
-  std::vector<Trace> traces;
-  std::size_t lines = 0;  ///< lines started (comments and blanks included)
+/// One worker's scratch trace, and what it found in its byte range of the
+/// current block. A cache line apart from the other workers' parts: the
+/// scratch trace is written on every hop.
+struct alignas(64) Part {
+  Trace scratch;           ///< its hop capacity is reused line to line
+  std::size_t lines = 0;   ///< lines started (comments and blanks included)
+  std::size_t traces = 0;  ///< well-formed lines visited
+  /// The range's first bad lines: as many as a LoadReport details, so a
+  /// block of garbage costs a count, not a failure per line.
   std::vector<Failure> failures;
+  std::size_t more_failures = 0;  ///< bad lines after those
 };
 
 }  // namespace
@@ -189,76 +166,144 @@ void write_corpus(std::ostream& out, const TraceCorpus& corpus) {
   }
 }
 
-TraceCorpus read_corpus(std::istream& in, unsigned threads,
-                        LoadReport* report) {
-  const std::string bytes = read_all(in);
-  const std::string_view text = bytes;
-
-  const unsigned resolved = parallel::resolve_threads(threads);
+void scan_traces(std::istream& in, unsigned workers, LoadReport* report,
+                 const TraceVisitor& visit,
+                 const std::function<void()>& end_block) {
+  MAPIT_ENSURE(workers > 0, "scan_traces needs at least one worker");
   std::optional<parallel::ThreadPool> pool;
-  if (resolved > 1 && text.size() > 1) pool.emplace(resolved);
-  std::vector<Part> parts(pool ? pool->size() : 1);
-  // Workers own ascending byte ranges; a line belongs to the worker whose
-  // range holds its first byte. Line numbers are only known once the
-  // earlier parts have counted their lines, so failures are positioned
-  // within their part and numbered below. In strict mode each worker stops
-  // at its first bad line, so the lowest failing part holds the first bad
-  // line of the file.
-  parallel::for_ranges(
-      pool ? &*pool : nullptr, text.size(),
+  if (workers > 1) pool.emplace(workers);
+  std::vector<Part> parts(workers);
+
+  // Workers own ascending byte ranges of the block; a line belongs to the
+  // worker whose range holds its first byte. Line numbers are only known
+  // once the earlier ranges have counted their lines, so failures are
+  // positioned within their range and numbered below. In strict mode each
+  // worker stops at its first bad line, so the lowest failing range holds
+  // the block's first bad line.
+  std::string_view block;
+  const parallel::ThreadPool::RangeFn parse_range =
       [&](unsigned worker, std::size_t begin, std::size_t end) {
         Part& part = parts[worker];
+        Trace& trace = part.scratch;
         std::size_t at = begin;
-        if (at > 0 && text[at - 1] != '\n') {
-          at = text.find('\n', at);
-          at = at == std::string_view::npos ? text.size() : at + 1;
+        if (at > 0 && block[at - 1] != '\n') {
+          at = block.find('\n', at);
+          at = at == std::string_view::npos ? block.size() : at + 1;
         }
-        Trace scratch;  // its hops' capacity is reused line after line
+        std::size_t lines = 0;
+        std::size_t traces = 0;
         std::string error;
         while (at < end) {
-          std::size_t line_end = text.find('\n', at);
-          if (line_end == std::string_view::npos) line_end = text.size();
-          const std::string_view line = text.substr(at, line_end - at);
+          std::size_t line_end = block.find('\n', at);
+          if (line_end == std::string_view::npos) line_end = block.size();
+          const std::string_view line = block.substr(at, line_end - at);
           const std::size_t offset = at;
           at = line_end + 1;
-          ++part.lines;
+          ++lines;
           if (line.empty() || line[0] == '#') continue;
-          if (parse_line(line, scratch, error)) {
-            part.traces.push_back(Trace{
-                scratch.monitor, scratch.destination,
-                std::vector<TraceHop>(scratch.hops.begin(),
-                                      scratch.hops.end())});
+          if (parse_line(line, trace, error)) {
+            visit(worker, trace);
+            ++traces;
             continue;
           }
-          part.failures.push_back({part.lines, offset, std::move(error)});
-          if (report == nullptr) return;
+          if (part.failures.size() < LoadReport::kMaxDetailed) {
+            part.failures.push_back({lines, offset, std::move(error)});
+          } else {
+            ++part.more_failures;
+          }
+          if (report == nullptr) break;
+        }
+        part.lines = lines;
+        part.traces = traces;
+      };
+
+  std::vector<char> buffer(kScanBlockBytes);
+  std::size_t filled = 0;     // bytes in buffer: carried-over, then read
+  std::size_t position = 0;   // input offset of buffer[0]
+  std::size_t line_base = 0;  // lines before buffer[0]
+  std::size_t loaded = 0;
+  while (true) {
+    if (in.good()) {
+      in.read(buffer.data() + filled,
+              static_cast<std::streamsize>(buffer.size() - filled));
+      filled += static_cast<std::size_t>(in.gcount());
+    }
+    // A short read ends the input; a failed one must throw before any of
+    // its tail is parsed.
+    check_read(in, "trace corpus");
+    const bool last = !in.good();
+    std::size_t cut = filled;
+    if (!last) {
+      const auto newline =
+          std::string_view(buffer.data(), filled).rfind('\n');
+      if (newline == std::string_view::npos) {
+        buffer.resize(2 * buffer.size());  // a line longer than the buffer
+        continue;
+      }
+      cut = newline + 1;
+    }
+    if (cut > 0) {
+      block = std::string_view(buffer.data(), cut);
+      for (Part& part : parts) {
+        part.lines = 0;
+        part.traces = 0;
+        part.failures.clear();
+        part.more_failures = 0;
+      }
+      parallel::for_ranges(pool ? &*pool : nullptr, block.size(),
+                           parse_range);
+      for (Part& part : parts) {
+        for (Failure& failure : part.failures) {
+          // Line number for humans, byte offset so a fuzzer crash (or any
+          // tool holding the raw bytes) maps straight to the input.
+          const std::size_t line_no = line_base + failure.line;
+          const std::size_t offset = position + failure.offset;
+          std::string message = "trace line " + std::to_string(line_no) +
+                                " (byte " + std::to_string(offset) +
+                                "): " + failure.detail;
+          if (report == nullptr) throw ParseError(message);
+          report->record(line_no, offset, std::move(message));
+        }
+        if (part.more_failures > 0) report->add_skipped(part.more_failures);
+        line_base += part.lines;
+        loaded += part.traces;
+      }
+      if (end_block) end_block();
+    }
+    if (last) break;
+    std::copy(buffer.begin() + static_cast<std::ptrdiff_t>(cut),
+              buffer.begin() + static_cast<std::ptrdiff_t>(filled),
+              buffer.begin());
+    filled -= cut;
+    position += cut;
+  }
+  if (report != nullptr) report->add_loaded(loaded);
+}
+
+TraceCorpus read_corpus(std::istream& in, unsigned threads,
+                        LoadReport* report) {
+  // Each worker copies its traces out of its scratch (an exact-size hop
+  // vector each) into its own vector, a cache line apart from the others;
+  // after every block the copies join the corpus in worker order, which is
+  // file order.
+  struct alignas(64) Copies {
+    std::vector<Trace> traces;
+  };
+  std::vector<Copies> copies(parallel::resolve_threads(threads));
+  std::vector<Trace> traces;
+  scan_traces(
+      in, static_cast<unsigned>(copies.size()), report,
+      [&](unsigned worker, Trace& trace) {
+        copies[worker].traces.push_back(trace);
+      },
+      [&] {
+        for (Copies& worker : copies) {
+          traces.insert(traces.end(),
+                        std::make_move_iterator(worker.traces.begin()),
+                        std::make_move_iterator(worker.traces.end()));
+          worker.traces.clear();
         }
       });
-
-  std::size_t line_base = 0;
-  std::size_t total = 0;
-  for (Part& part : parts) {
-    for (Failure& failure : part.failures) {
-      // Line number for humans, byte offset so a fuzzer crash (or any tool
-      // holding the raw bytes) maps straight to the input.
-      const std::size_t line_no = line_base + failure.line;
-      std::string message = "trace line " + std::to_string(line_no) +
-                            " (byte " + std::to_string(failure.offset) +
-                            "): " + failure.detail;
-      if (report == nullptr) throw ParseError(message);
-      report->record(line_no, failure.offset, std::move(message));
-    }
-    line_base += part.lines;
-    total += part.traces.size();
-  }
-  std::vector<Trace> traces = std::move(parts[0].traces);
-  traces.reserve(total);
-  for (std::size_t w = 1; w < parts.size(); ++w) {
-    traces.insert(traces.end(),
-                  std::make_move_iterator(parts[w].traces.begin()),
-                  std::make_move_iterator(parts[w].traces.end()));
-  }
-  if (report != nullptr) report->add_loaded(traces.size());
   return TraceCorpus(std::move(traces));
 }
 

@@ -1,14 +1,18 @@
-// Allocation tripwires for the cold path and the republish path. Wall time
-// on a shared host is noise; heap allocation counts repeat exactly, so they
-// pin the cost model: parsing and sanitizing allocate per trace (its
-// exact-size hop vector) and nothing per hop; the interface graph allocates
-// per record (its two neighbour lists) and nothing per adjacency
-// occurrence; the engine and the snapshot build allocate per output (result
-// entries, final mappings, links) and nothing per half or adjacency.
+// Allocation and memory tripwires for the cold path and the republish
+// path. Wall time on a shared host is noise; heap allocation counts and
+// heap high-water marks repeat exactly, so they pin the cost model:
+// parsing and sanitizing a corpus allocate per trace (its exact-size hop
+// vector) and nothing per hop; the streaming load holds one block of input
+// plus the distinct addresses and pairs, whatever the file's length; the
+// interface graph allocates per record (its two neighbour lists) and
+// nothing per adjacency occurrence; the engine and the snapshot build
+// allocate per output (result entries, final mappings, links) and nothing
+// per half or adjacency.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is a separate test executable.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +20,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +28,7 @@
 #include "core/engine.h"
 #include "eval/experiment.h"
 #include "graph/interface_graph.h"
+#include "net/load_report.h"
 #include "store/writer.h"
 #include "trace/sanitize.h"
 #include "trace/trace_io.h"
@@ -30,19 +36,57 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};  // malloc_usable_size of each
+std::atomic<std::int64_t> g_peak_bytes{0};  // high-water mark of g_live_bytes
+
+void* counted(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live = g_live_bytes.fetch_add(size) + size;
+  std::int64_t peak = g_peak_bytes.load();
+  while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+  }
+  return p;
+}
+
+void release(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)));
+  std::free(p);
+}
+
+void* aligned(std::size_t size, std::align_val_t align) {
+  const auto alignment = static_cast<std::size_t>(align);
+  const std::size_t rounded = (std::max<std::size_t>(size, 1) + alignment -
+                               1) / alignment * alignment;
+  return counted(std::aligned_alloc(alignment, rounded));
+}
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
+  return counted(std::malloc(size == 0 ? 1 : size));
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return aligned(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return aligned(size, align);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  release(p);
+}
 
 namespace mapit {
 namespace {
@@ -53,6 +97,16 @@ std::uint64_t allocations_of(Fn&& fn) {
   const std::uint64_t before = g_allocations.load();
   fn();
   return g_allocations.load() - before;
+}
+
+/// How far `fn` raises the heap's live bytes above where they started, at
+/// its highest.
+template <typename Fn>
+std::int64_t peak_bytes_of(Fn&& fn) {
+  const std::int64_t base = g_live_bytes.load();
+  g_peak_bytes.store(base);
+  fn();
+  return g_peak_bytes.load() - base;
 }
 
 const eval::Experiment& experiment() {
@@ -112,6 +166,95 @@ TEST(AllocTripwire, ReadCorpusAndSanitizeAllocatePerTraceNotPerHop) {
       [&] { in_place = trace::sanitize(std::move(corpus), 1); });
   EXPECT_LE(sanitize_move, 64u);
   EXPECT_EQ(in_place.clean.traces(), copied.clean.traces());
+}
+
+/// `copies` copies of `text`, back to back.
+std::string repeated(const std::string& text, std::size_t copies) {
+  std::string out;
+  for (std::size_t i = 0; i < copies; ++i) out += text;
+  return out;
+}
+
+/// Blocks the scanner cuts `text` into.
+std::size_t blocks_of(const std::string& text) {
+  std::istringstream in(text);
+  LoadReport report;  // lenient: garbage texts scan too
+  std::size_t blocks = 0;
+  trace::scan_traces(
+      in, 1, &report, [](unsigned, trace::Trace&) {}, [&] { ++blocks; });
+  return blocks;
+}
+
+struct LoadCost {
+  std::uint64_t allocations = 0;
+  std::int64_t peak_bytes = 0;
+  std::size_t records = 0;
+};
+
+LoadCost streaming_load(const std::string& text, unsigned threads,
+                        LoadReport* report = nullptr) {
+  std::istringstream in(text);
+  std::optional<graph::LoadedGraph> loaded;
+  LoadCost cost;
+  cost.allocations = allocations_of([&] {
+    cost.peak_bytes = peak_bytes_of(
+        [&] { loaded.emplace(graph::read_graph(in, threads, report)); });
+  });
+  cost.records = loaded->graph.size();
+  return cost;
+}
+
+TEST(AllocTripwire, StreamingLoadHoldsOneBlockNotTheCorpus) {
+  const std::string once = corpus_text();
+  const std::string eight = repeated(once, 8);
+  const std::size_t extra_blocks = blocks_of(eight) - blocks_of(once);
+  ASSERT_GE(extra_blocks, 3u);
+  for (const unsigned threads : {1u, 2u}) {
+    const LoadCost small = streaming_load(once, threads);
+    const LoadCost large = streaming_load(eight, threads);
+    ASSERT_GT(small.records, 500u);
+    // Repeated traces change no set, so the graph is the same.
+    EXPECT_EQ(large.records, small.records);
+    // One block of input, the flat sets and the graph, however long the
+    // file: eight times the text moves the peak by less than 64 KiB.
+    EXPECT_LE(small.peak_bytes, 3 * 512 * 1024) << threads << " threads";
+    EXPECT_LE(large.peak_bytes, 3 * 512 * 1024) << threads << " threads";
+    EXPECT_LE(std::max(small.peak_bytes, large.peak_bytes) -
+                  std::min(small.peak_bytes, large.peak_bytes),
+              64 * 1024)
+        << threads << " threads: " << small.peak_bytes << " vs "
+        << large.peak_bytes;
+    // Allocations per record (the graph), not per trace, and at most two
+    // more per extra block.
+    EXPECT_LE(small.allocations, 2 * small.records + 200)
+        << threads << " threads";
+    EXPECT_LE(large.allocations, 2 * large.records + 200)
+        << threads << " threads";
+    EXPECT_LE(large.allocations, small.allocations + 2 * extra_blocks)
+        << threads << " threads: " << small.allocations << " vs "
+        << large.allocations;
+  }
+}
+
+TEST(AllocTripwire, LenientGarbageHoldsNoMoreThanABlocksFailures) {
+  std::string garbage;
+  for (std::size_t i = 0; garbage.size() < 2 * trace::kScanBlockBytes; ++i) {
+    garbage += "garbage line " + std::to_string(i) + "\n";
+  }
+  for (const unsigned threads : {1u, 2u}) {
+    LoadReport small_report;
+    const LoadCost small = streaming_load(garbage, threads, &small_report);
+    LoadReport large_report;
+    const LoadCost large =
+        streaming_load(repeated(garbage, 4), threads, &large_report);
+    EXPECT_EQ(large_report.skipped(), 4 * small_report.skipped());
+    EXPECT_EQ(small.records, 0u);
+    // Within a page: the workers' scratch strings may differ by a few bytes.
+    EXPECT_LE(large.peak_bytes, small.peak_bytes + 4096)
+        << threads << " threads: " << small.peak_bytes << " vs "
+        << large.peak_bytes;
+    EXPECT_LE(small.peak_bytes, 3 * 512 * 1024) << threads << " threads";
+  }
 }
 
 TEST(AllocTripwire, GraphBuildAndFoldAllocatePerRecordNotPerAdjacency) {

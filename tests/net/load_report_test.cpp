@@ -46,5 +46,20 @@ TEST(LoadReport, DetailCapsAtKMaxDetailedButKeepsCounting) {
   EXPECT_EQ(summary.find("line 11:"), std::string::npos);
 }
 
+TEST(LoadReport, AddSkippedCountsPastTheDetailedOffenders) {
+  LoadReport report;
+  for (std::size_t i = 1; i <= LoadReport::kMaxDetailed; ++i) {
+    report.record(i, i * 10, "err " + std::to_string(i));
+  }
+  report.add_skipped(3);
+  report.add_loaded(7);
+  EXPECT_EQ(report.skipped(), LoadReport::kMaxDetailed + 3);
+  EXPECT_EQ(report.offenders().size(), LoadReport::kMaxDetailed);
+  const std::string summary = report.summary("traces");
+  EXPECT_NE(summary.find("skipped 13 of 20 lines"), std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("... and 3 more"), std::string::npos) << summary;
+}
+
 }  // namespace
 }  // namespace mapit

@@ -10,6 +10,7 @@
 #                   checkpoint kill/resume matrix through the real binary
 #                   bench      bench smoke + inference-count tripwire
 #                   snapshot   CLI snapshot + golden queries + CRC tripwire
+#                              + the streamed cold path over several blocks
 #                   async      epoll server smoke over both wire protocols
 #                   ingest     streaming-ingest smoke: cold-vs-incremental
 #                              equivalence + kill-mid-journal resume
@@ -297,15 +298,55 @@ stage_snapshot() {
   rm -rf "${work}"
   mkdir -p "${work}"
   "${mapit_bin}" simulate --out "${work}" --seed 9
-  "${mapit_bin}" snapshot \
-    --traces "${work}/traces.txt" --rib "${work}/rib.txt" \
-    --relationships "${work}/relationships.txt" \
-    --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt" \
+  local datasets=(--rib "${work}/rib.txt"
+                  --relationships "${work}/relationships.txt"
+                  --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt")
+  "${mapit_bin}" snapshot --traces "${work}/traces.txt" "${datasets[@]}" \
     --out "${work}/snapshot.bin"
   "${mapit_bin}" query "${work}/snapshot.bin" \
     < "${REPO_ROOT}/tests/cli/golden_queries.txt" > "${work}/answers.txt"
   diff -u "${REPO_ROOT}/tests/cli/golden_answers.txt" "${work}/answers.txt"
   echo "golden query answers: ok"
+
+  echo "== streamed cold path over several blocks =="
+  # The trace reader streams its input a 1 MiB block at a time. Eight
+  # copies of the corpus (several blocks) repeat every adjacency but add
+  # none, so the snapshot must be the same bytes.
+  local x8="${work}/traces_x8.txt"
+  for _ in 1 2 3 4 5 6 7 8; do cat "${work}/traces.txt"; done > "${x8}"
+  "${mapit_bin}" snapshot --traces "${x8}" "${datasets[@]}" \
+    --out "${work}/snapshot_x8.bin"
+  cmp "${work}/snapshot.bin" "${work}/snapshot_x8.bin"
+  # One malformed line planted past the first block: strict mode must exit
+  # 3 naming the line number and byte offset computed here from the file;
+  # lenient mode must skip just that line and write the same bytes.
+  local bad="${work}/traces_bad.txt"
+  local expected rc
+  expected="$(python3 - "${x8}" "${bad}" <<'EOF'
+import sys
+text = open(sys.argv[1], "rb").read()
+at = text.index(b"\n", 3 * 1024 * 1024 // 2) + 1  # a line start in block 2
+line_no = text.count(b"\n", 0, at) + 1
+with open(sys.argv[2], "wb") as out:
+    out.write(text[:at] + b"1|20.0.0.1|11.0.0.1 1.2.3.999\n" + text[at:])
+print(f"trace line {line_no} (byte {at}): bad address in hop '1.2.3.999'")
+EOF
+)"
+  set +e
+  "${mapit_bin}" snapshot --traces "${bad}" "${datasets[@]}" \
+    --out "${work}/snapshot_bad.bin" 2> "${work}/strict.err"
+  rc=$?
+  set -e
+  if [[ "${rc}" -ne 3 ]] || ! grep -qxF "error: ${expected}" "${work}/strict.err"; then
+    echo "strict load of a bad line should exit 3 with '${expected}'," \
+         "got ${rc}: $(cat "${work}/strict.err")" >&2
+    exit 1
+  fi
+  "${mapit_bin}" snapshot --lenient --traces "${bad}" "${datasets[@]}" \
+    --out "${work}/snapshot_lenient.bin" 2> "${work}/lenient.err"
+  grep -q "^traces: skipped 1 of " "${work}/lenient.err"
+  cmp "${work}/snapshot.bin" "${work}/snapshot_lenient.bin"
+  echo "x8 corpus and planted bad line (${expected%%:*}): ok"
 
   echo "== snapshot crash matrix =="
   # Crash-at-every-injection-point proof for the artifact the smoke above

@@ -38,6 +38,7 @@
 #include "eval/diff_sweep.h"
 #include "eval/experiment.h"
 #include "fault/atomic_file.h"
+#include "graph/interface_graph.h"
 #include "ingest/runner.h"
 #include "ingest/sender.h"
 #include "net/error.h"
@@ -551,7 +552,7 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
   LoadReport trace_report;
   LoadReport rib_report;
   auto traces_stream = open_or_die(*traces_path);
-  trace::TraceCorpus corpus = trace::read_corpus(
+  graph::LoadedGraph loaded = graph::read_graph(
       traces_stream, options.threads, lenient ? &trace_report : nullptr);
   auto rib_stream = open_or_die(*rib_path);
   pipeline->rib = bgp::Rib::read(rib_stream, lenient ? &rib_report : nullptr);
@@ -594,15 +595,13 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
     setup.meta.datasets_fingerprint = datasets;
   }
 
-  // The graph keeps what it needs; the traces die with this scope.
-  const trace::SanitizeResult sanitized =
-      trace::sanitize(std::move(corpus), options.threads);
-  std::cerr << "sanitized " << sanitized.stats.input_traces << " traces ("
-            << sanitized.stats.discarded_traces << " discarded, "
-            << sanitized.stats.removed_ttl0_hops << " TTL=0 hops removed)\n";
+  const trace::SanitizeStats& stats = loaded.stats;
+  std::cerr << "sanitized " << stats.input_traces << " traces ("
+            << stats.discarded_traces << " discarded, "
+            << stats.removed_ttl0_hops << " TTL=0 hops removed)\n";
 
-  pipeline->graph = std::make_unique<graph::InterfaceGraph>(
-      sanitized.clean, sanitized.addresses, options.threads);
+  pipeline->graph =
+      std::make_unique<graph::InterfaceGraph>(std::move(loaded.graph));
   pipeline->ip2as = std::make_unique<bgp::Ip2As>(
       pipeline->rib, net::PrefixTrie<asdata::Asn>{}, &pipeline->ixps);
   std::cerr << "interface graph: " << pipeline->graph->size()
@@ -1361,7 +1360,7 @@ int cmd_paths(Args& args) {
   LoadReport trace_report;
   LoadReport rib_report;
   auto traces_stream = open_or_die(*traces_path);
-  trace::TraceCorpus corpus = trace::read_corpus(
+  const graph::LoadedGraph loaded = graph::read_graph(
       traces_stream, threads, lenient ? &trace_report : nullptr);
   auto rib_stream = open_or_die(*rib_path);
   const bgp::Rib rib =
@@ -1386,14 +1385,11 @@ int cmd_paths(Args& args) {
     ixps = asdata::IxpRegistry::read(stream);
   }
 
-  const auto sanitized = trace::sanitize(std::move(corpus), threads);
-  const graph::InterfaceGraph graph(sanitized.clean, sanitized.addresses,
-                                    threads);
   const bgp::Ip2As ip2as(rib, net::PrefixTrie<asdata::Asn>{}, &ixps);
   core::Options paths_options;
   paths_options.threads = threads;
   const core::Result result =
-      core::run_mapit(graph, ip2as, orgs, rels, paths_options);
+      core::run_mapit(loaded.graph, ip2as, orgs, rels, paths_options);
   const core::PathAnnotator annotator(result, ip2as);
 
   auto print_path = [](const char* label,
@@ -1402,20 +1398,28 @@ int cmd_paths(Args& args) {
     for (asdata::Asn asn : path) std::cout << " AS" << asn;
     std::cout << "\n";
   };
+  // The load keeps no traces, so a second, sequential pass over the file
+  // sanitizes them again, in file order, for the annotation.
+  auto again = open_or_die(*traces_path);
+  LoadReport reported;  // the first pass already reported the quarantine
+  trace::SanitizeTally tally;
   std::size_t shown = 0;
-  for (const trace::Trace& t : sanitized.clean.traces()) {
-    if (shown >= limit) break;
-    const core::AnnotatedPath annotated = annotator.annotate(t);
-    if (annotated.as_path == annotated.naive_as_path) continue;  // boring
-    ++shown;
-    std::cout << "trace to " << t.destination.to_string() << " (monitor "
-              << t.monitor << ")\n";
-    print_path("naive ", annotated.naive_as_path);
-    print_path("mapit ", annotated.as_path);
-  }
+  trace::scan_traces(
+      again, 1, lenient ? &reported : nullptr,
+      [&](unsigned, trace::Trace& t) {
+        if (shown >= limit || !trace::sanitize_trace(t, tally)) return;
+        const core::AnnotatedPath annotated = annotator.annotate(t);
+        if (annotated.as_path == annotated.naive_as_path) return;  // boring
+        ++shown;
+        std::cout << "trace to " << t.destination.to_string() << " (monitor "
+                  << t.monitor << ")\n";
+        print_path("naive ", annotated.naive_as_path);
+        print_path("mapit ", annotated.as_path);
+      });
   if (shown == 0) {
     std::cout << "no traces with corrected AS paths in the first "
-              << sanitized.clean.size() << "\n";
+              << loaded.stats.input_traces - loaded.stats.discarded_traces
+              << "\n";
   }
   return 0;
 }
@@ -1489,23 +1493,19 @@ int cmd_stats(Args& args) {
   args.reject_unknown();
   LoadReport trace_report;
   auto stream = open_or_die(*traces_path);
-  trace::TraceCorpus corpus =
-      trace::read_corpus(stream, threads, lenient ? &trace_report : nullptr);
+  const graph::LoadedGraph loaded =
+      graph::read_graph(stream, threads, lenient ? &trace_report : nullptr);
   if (lenient) report_quarantine("traces", trace_report);
-  const auto sanitized = trace::sanitize(std::move(corpus), threads);
-  const graph::InterfaceGraph graph(sanitized.clean, sanitized.addresses,
-                                    threads);
-  const graph::GraphStats gs = graph.stats();
+  const trace::SanitizeStats& stats = loaded.stats;
+  const graph::GraphStats gs = loaded.graph.stats();
 
-  std::cout << "traces                : " << sanitized.stats.input_traces
-            << "\n"
-            << "discarded (cycles)    : " << sanitized.stats.discarded_traces
-            << " (" << 100.0 * sanitized.stats.discard_fraction() << "%)\n"
-            << "TTL=0 hops removed    : " << sanitized.stats.removed_ttl0_hops
-            << "\n"
-            << "distinct addresses    : " << sanitized.stats.input_addresses
-            << " -> " << sanitized.stats.retained_addresses << " ("
-            << 100.0 * sanitized.stats.address_retention() << "% retained)\n"
+  std::cout << "traces                : " << stats.input_traces << "\n"
+            << "discarded (cycles)    : " << stats.discarded_traces << " ("
+            << 100.0 * stats.discard_fraction() << "%)\n"
+            << "TTL=0 hops removed    : " << stats.removed_ttl0_hops << "\n"
+            << "distinct addresses    : " << stats.input_addresses << " -> "
+            << stats.retained_addresses << " ("
+            << 100.0 * stats.address_retention() << "% retained)\n"
             << "graph interfaces      : " << gs.interfaces << "\n"
             << "|N_F| > 1             : " << gs.forward_multi << "\n"
             << "|N_B| > 1             : " << gs.backward_multi << "\n"
