@@ -5,12 +5,11 @@
 //   - snapshot build (run -> records -> serialized bytes) and write time
 //   - mmap open + validate time (the cold-start cost of a server restart)
 //   - direct QueryEngine::lookup throughput, single- and multi-threaded
-//   - loopback serve throughput with 4 pipelined clients (the ISSUE's
-//     >= 100k queries/sec bar) for BOTH servers: the blocking LineServer
-//     and the epoll AsyncServer (line protocol and, for the async server,
-//     the length-prefixed binary protocol too)
-//   - unpipelined request/answer round-trip latency (p50/p99 microseconds)
-//     per server, and qps-per-core (throughput normalized by
+//   - loopback serve throughput of the AsyncServer with 4 pipelined
+//     clients, over the line protocol and the length-prefixed binary
+//     protocol
+//   - unpipelined request/answer round-trip latency (p50/p99
+//     microseconds), and qps-per-core (throughput normalized by
 //     hardware_threads, the honest figure for comparing across machines)
 //
 //   perf_query_report [--out FILE] [--reps N] [--clients N] [--batch N]
@@ -336,7 +335,7 @@ int main(int argc, char** argv) {
   const double direct_qps_1 = time_lookups(1);
   const double direct_qps_4 = time_lookups(4);
 
-  // --- serve throughput + latency, both servers ---------------------------
+  // --- serve throughput + latency -----------------------------------------
   std::string batch;
   for (std::size_t i = 0; i < batch_queries; ++i) {
     const auto& [address, direction] = probes[i % probes.size()];
@@ -356,7 +355,7 @@ int main(int argc, char** argv) {
   constexpr int kLatencySamples = 2000;
 
   // Parallel pipelined clients against an already-started server; -1 on
-  // client failure (reported by the caller, which knows the server name).
+  // client failure.
   const auto time_serve = [&](std::uint16_t port, bool binary) -> double {
     const auto start = Clock::now();
     std::vector<std::thread> threads;
@@ -375,17 +374,6 @@ int main(int argc, char** argv) {
     return static_cast<double>(batch_queries) * reps * clients / seconds;
   };
 
-  std::cerr << "timing blocking serve (" << clients << " clients)...\n";
-  double serve_qps = 0.0;
-  LatencyStats line_latency;
-  {
-    query::LineServer server(engine, 0);
-    server.start();
-    serve_qps = time_serve(server.port(), /*binary=*/false);
-    line_latency = measure_latency(server.port(), latency_line,
-                                   kLatencySamples);
-    server.stop();
-  }
   std::cerr << "timing async serve (" << clients << " clients)...\n";
   double serve_qps_async = 0.0;
   double serve_qps_async_binary = 0.0;
@@ -400,8 +388,7 @@ int main(int argc, char** argv) {
     server.stop();
   }
   std::filesystem::remove(path);
-  if (serve_qps < 0.0 || serve_qps_async < 0.0 ||
-      serve_qps_async_binary < 0.0) {
+  if (serve_qps_async < 0.0 || serve_qps_async_binary < 0.0) {
     std::cerr << "serve benchmark client failed\n";
     return 1;
   }
@@ -409,8 +396,7 @@ int main(int argc, char** argv) {
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   const double cores = hardware_threads > 0 ? hardware_threads : 1;
   // Widest concurrency this report measures: the 4-thread direct lookups
-  // and the `clients` parallel serve clients (each of which the LineServer
-  // pairs with a connection thread).
+  // and the `clients` parallel serve clients.
   const bool scaling_valid =
       cores >= std::max(4.0, static_cast<double>(clients));
 
@@ -429,10 +415,6 @@ int main(int argc, char** argv) {
       << "  \"direct_lookup_qps_4thread\": " << direct_qps_4 << ",\n"
       << "  \"serve_clients\": " << clients << ",\n"
       << "  \"serve_batch_queries\": " << batch_queries << ",\n"
-      << "  \"serve_qps\": " << serve_qps << ",\n"
-      << "  \"serve_qps_per_core\": " << serve_qps / cores << ",\n"
-      << "  \"serve_p50_us\": " << line_latency.p50_us << ",\n"
-      << "  \"serve_p99_us\": " << line_latency.p99_us << ",\n"
       << "  \"serve_qps_async\": " << serve_qps_async << ",\n"
       << "  \"serve_qps_async_per_core\": " << serve_qps_async / cores
       << ",\n"
@@ -451,13 +433,10 @@ int main(int argc, char** argv) {
             << " ms\n"
             << "direct lookups: " << direct_qps_1 / 1e6 << " M qps (1 thread), "
             << direct_qps_4 / 1e6 << " M qps (4 threads)\n"
-            << "serve (blocking): " << serve_qps / 1e3 << " k qps, p50 "
-            << line_latency.p50_us << " us, p99 " << line_latency.p99_us
-            << " us (" << clients << " pipelined clients)\n"
-            << "serve (async):    " << serve_qps_async / 1e3
-            << " k qps line, " << serve_qps_async_binary / 1e3
-            << " k qps binary, p50 " << async_latency.p50_us << " us, p99 "
-            << async_latency.p99_us << " us\n";
+            << "serve: " << serve_qps_async / 1e3 << " k qps line, "
+            << serve_qps_async_binary / 1e3 << " k qps binary, p50 "
+            << async_latency.p50_us << " us, p99 " << async_latency.p99_us
+            << " us (" << clients << " pipelined clients)\n";
   if (!scaling_valid) {
     std::cout << "note: scaling_valid=false — only " << hardware_threads
               << " hardware thread(s); concurrent figures are not scaling "

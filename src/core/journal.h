@@ -76,7 +76,9 @@ inline constexpr std::size_t kJournalFrameSize = 12;
 /// Sanity cap on a single record payload. Trace lines are bounded far
 /// below this; a larger size field means corruption, not data.
 inline constexpr std::uint32_t kMaxJournalPayload = 1u << 24;
-/// source_offset value for delta lines with no file position (socket).
+/// source_offset value for delta lines with no file position. Today's
+/// sources always have one; journals from the retired plaintext socket
+/// intake hold such lines, and replay still accepts them.
 inline constexpr std::uint64_t kNoSourceOffset = ~0ull;
 /// Sanity cap on a remote-batch session name (also enforced by the MDP1
 /// handshake, so a journaled name can always round-trip the wire).
@@ -90,8 +92,7 @@ struct JournalRecord {
   Type type = Type::kTrace;
   /// kTrace: byte offset of the line in its source file, so a tailer
   /// resuming after a torn tail knows where to re-read from; lines with no
-  /// file position (socket deltas) record kNoSourceOffset. The raw
-  /// accepted line follows.
+  /// file position record kNoSourceOffset. The raw accepted line follows.
   /// kRemoteBatch: the sender's source-file offset after the last line of
   /// the batch — replayed to a reconnecting sender so it resumes reading
   /// exactly where the durable prefix ends.

@@ -1,20 +1,14 @@
 #include "ingest/pipeline.h"
 
 #include <algorithm>
-#include <fstream>
-#include <utility>
+#include <vector>
 
-#include "net/error.h"
+#include "net/ipv4.h"
+#include "trace/sanitize.h"
 
 namespace mapit::ingest {
 
 namespace {
-
-std::ifstream open_or_throw(const std::string& path) {
-  std::ifstream stream(path);
-  if (!stream) throw Error("cannot open " + path);
-  return stream;
-}
 
 /// Merges `addition` (sorted unique) into `base` (sorted unique) in place.
 void merge_sorted_unique(std::vector<net::Ipv4Address>& base,
@@ -27,54 +21,18 @@ void merge_sorted_unique(std::vector<net::Ipv4Address>& base,
   base.erase(std::unique(base.begin(), base.end()), base.end());
 }
 
+core::InputPaths input_paths(const IngestSetup& setup) {
+  return {setup.traces_path, setup.rib_path, setup.relationships_path,
+          setup.as2org_path, setup.ixps_path};
+}
+
 }  // namespace
 
 IngestPipeline::IngestPipeline(const IngestSetup& setup)
-    : options_(setup.options) {
-  {
-    auto stream = open_or_throw(setup.traces_path);
-    graph::LoadedGraph loaded = graph::read_graph(
-        stream, options_.threads, setup.lenient ? &trace_report_ : nullptr);
-    base_traces_ = loaded.stats.input_traces;
-    all_addresses_ = std::move(loaded.addresses);
-    graph_ = std::make_unique<graph::InterfaceGraph>(std::move(loaded.graph));
-  }
-  {
-    auto stream = open_or_throw(setup.rib_path);
-    rib_ = bgp::Rib::read(stream, setup.lenient ? &rib_report_ : nullptr);
-  }
-  if (!setup.relationships_path.empty()) {
-    auto stream = open_or_throw(setup.relationships_path);
-    rels_ = asdata::AsRelationships::read(stream);
-  }
-  if (!setup.as2org_path.empty()) {
-    auto stream = open_or_throw(setup.as2org_path);
-    orgs_ = asdata::As2Org::read(stream);
-  }
-  if (!setup.ixps_path.empty()) {
-    auto stream = open_or_throw(setup.ixps_path);
-    ixps_ = asdata::IxpRegistry::read(stream);
-  }
-  ip2as_ = std::make_unique<bgp::Ip2As>(rib_, net::PrefixTrie<asdata::Asn>{},
-                                        &ixps_);
-
-  // Identity of the base run, fingerprinted exactly like the checkpoint
-  // family (same presence markers for optional datasets), so a journal is
-  // rejected the moment any base input byte changed underneath it.
-  meta_.config_hash = core::config_hash(options_);
-  meta_.corpus_fingerprint = core::fingerprint_file(setup.traces_path);
-  meta_.rib_fingerprint = core::fingerprint_file(setup.rib_path);
-  std::uint64_t datasets = core::kFingerprintSeed;
-  for (const std::string& optional_path :
-       {setup.relationships_path, setup.as2org_path, setup.ixps_path}) {
-    datasets =
-        core::fingerprint_bytes(datasets, optional_path.empty() ? "-" : "+");
-    if (!optional_path.empty()) {
-      datasets = core::fingerprint_file(optional_path, datasets);
-    }
-  }
-  meta_.datasets_fingerprint = datasets;
-}
+    : options_(setup.options),
+      base_(core::RunInputs::load(input_paths(setup), options_.threads,
+                                  setup.lenient)),
+      meta_(core::input_meta(input_paths(setup), options_)) {}
 
 void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
   if (raw_delta.empty()) return;
@@ -83,26 +41,23 @@ void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
       trace::sanitize(raw_delta, options_.threads);
   // The witness population takes every raw delta address: the other-side
   // heuristic must see the traces and hops the sanitizer discarded.
-  merge_sorted_unique(all_addresses_, sanitized.addresses);
-  graph_->fold(sanitized.clean, all_addresses_, options_.threads);
-}
-
-core::Result IngestPipeline::run() const {
-  return core::run_mapit(*graph_, *ip2as_, orgs_, rels_, options_);
+  graph::LoadedGraph& corpus = base_->corpus;
+  merge_sorted_unique(corpus.addresses, sanitized.addresses);
+  corpus.graph.fold(sanitized.clean, corpus.addresses, options_.threads);
 }
 
 store::WriteInfo IngestPipeline::publish(const std::string& path,
                                          fault::Io& io) {
-  const core::Result result = run();
+  const core::Result result = base_->run(options_);
   const store::SnapshotData data =
-      store::make_snapshot_data(result, *graph_, *ip2as_);
+      store::make_snapshot_data(result, base_->corpus.graph, base_->ip2as);
   return store::write_snapshot_file(data, path, io);
 }
 
 std::string IngestPipeline::serialize() const {
-  const core::Result result = run();
+  const core::Result result = base_->run(options_);
   return store::serialize_snapshot(
-      store::make_snapshot_data(result, *graph_, *ip2as_));
+      store::make_snapshot_data(result, base_->corpus.graph, base_->ip2as));
 }
 
 }  // namespace mapit::ingest

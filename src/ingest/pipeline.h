@@ -1,11 +1,11 @@
 // Incremental MAP-IT pipeline: the in-memory state `mapit ingest` folds
 // delta traces into.
 //
-// The pipeline loads the base run once (the corpus streamed straight into
-// the interface graph by graph::read_graph, the RIB, optional AS datasets)
-// and then accepts delta batches: each batch is sanitized independently
-// (per-trace decisions — identical whether a trace is sanitized in the
-// base load or in a delta), its raw addresses are
+// The pipeline loads the base run once through core::RunInputs (the corpus
+// streamed straight into the interface graph, the RIB, optional AS
+// datasets) and then accepts delta batches: each batch is sanitized
+// independently (per-trace decisions — identical whether a trace is
+// sanitized in the base load or in a delta), its raw addresses are
 // merged into the corpus-wide address population (the §4.2 other-side
 // heuristic deliberately sees discarded traces too), and the graph is
 // folded via InterfaceGraph::fold. Publishing runs the full multipass
@@ -25,21 +25,13 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "asdata/as2org.h"
-#include "asdata/ixp.h"
-#include "asdata/relationships.h"
-#include "bgp/ip2as.h"
-#include "bgp/rib.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
+#include "core/run_inputs.h"
 #include "fault/io.h"
-#include "graph/interface_graph.h"
-#include "net/ipv4.h"
 #include "net/load_report.h"
 #include "store/writer.h"
-#include "trace/sanitize.h"
 #include "trace/trace.h"
 
 namespace mapit::ingest {
@@ -68,8 +60,8 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Identity block for the delta journal: config hash + fingerprints of
-  /// the base input files, computed exactly like the checkpoint family's.
+  /// Identity block for the delta journal: core::input_meta of the base
+  /// inputs, the same identity a checkpoint of the base run records.
   [[nodiscard]] const core::CheckpointMeta& meta() const { return meta_; }
 
   /// Folds one batch of raw (unsanitized) delta traces into the graph.
@@ -85,35 +77,28 @@ class IngestPipeline {
   /// these against a cold run's without touching the filesystem).
   [[nodiscard]] std::string serialize() const;
 
-  [[nodiscard]] std::size_t interfaces() const { return graph_->size(); }
-  [[nodiscard]] std::size_t base_traces() const { return base_traces_; }
+  [[nodiscard]] std::size_t interfaces() const {
+    return base_->corpus.graph.size();
+  }
+  [[nodiscard]] std::size_t base_traces() const {
+    return base_->corpus.stats.input_traces;
+  }
   [[nodiscard]] std::size_t delta_traces() const { return delta_traces_; }
   [[nodiscard]] const LoadReport& base_trace_report() const {
-    return trace_report_;
+    return base_->trace_report;
   }
   [[nodiscard]] const LoadReport& base_rib_report() const {
-    return rib_report_;
+    return base_->rib_report;
   }
 
  private:
-  [[nodiscard]] core::Result run() const;
-
   core::Options options_;
+  /// The loaded base run. Folds grow its graph and its address population,
+  /// which then holds the distinct raw addresses of base plus every delta
+  /// so far (the §4.2 witness population).
+  std::unique_ptr<core::RunInputs> base_;
   core::CheckpointMeta meta_;
-  LoadReport trace_report_;
-  LoadReport rib_report_;
-  std::size_t base_traces_ = 0;
   std::size_t delta_traces_ = 0;
-
-  bgp::Rib rib_;
-  asdata::AsRelationships rels_;
-  asdata::As2Org orgs_;
-  asdata::IxpRegistry ixps_;
-  /// Sorted distinct addresses of the raw corpus, base plus every folded
-  /// delta so far (the §4.2 witness population).
-  std::vector<net::Ipv4Address> all_addresses_;
-  std::unique_ptr<graph::InterfaceGraph> graph_;
-  std::unique_ptr<bgp::Ip2As> ip2as_;
 };
 
 }  // namespace mapit::ingest

@@ -198,7 +198,10 @@ IngestStats run_ingest(const IngestOptions& options,
   setup.options = options.engine_options;
   IngestPipeline pipeline(setup);
   if (options.log != nullptr) {
-    *options.log << "ingest: base " << pipeline.base_traces() << " traces, "
+    // Lenient base loads report their quarantine as `mapit run` does.
+    *options.log << pipeline.base_trace_report().summary("traces")
+                 << pipeline.base_rib_report().summary("rib")
+                 << "ingest: base " << pipeline.base_traces() << " traces, "
                  << pipeline.interfaces() << " interfaces\n";
   }
 
@@ -474,16 +477,6 @@ IngestStats run_ingest(const IngestOptions& options,
                    << fingerprint_hex << "\n";
     }
   }
-  std::optional<IngestSocket> socket;
-  if (options.listen_plain_port >= 0) {
-    socket.emplace(static_cast<std::uint16_t>(options.listen_plain_port),
-                   65536, io);
-    stats.listen_plain_port = socket->port();
-    if (options.log != nullptr) {
-      *options.log << "ingest: listening (plaintext) on 127.0.0.1:"
-                   << socket->port() << "\n";
-    }
-  }
 
   std::vector<SourceLine> incoming;
   std::vector<PendingLine> pending;
@@ -676,8 +669,7 @@ IngestStats run_ingest(const IngestOptions& options,
     incoming.clear();
     std::size_t arrived = 0;
     // While a flush is parked degraded, keep accepting input only up to
-    // the backlog bound; past it the tailer holds position and the ingest
-    // socket's queue fills, throttling producers through TCP.
+    // the backlog bound; past it the tailer holds position.
     const bool backlogged =
         flush.stage != Stage::kIdle && pending.size() >= backlog_cap;
     // Remote batches: retry any parked journal write, then drain fresh
@@ -696,10 +688,7 @@ IngestStats run_ingest(const IngestOptions& options,
         if (!remote_backlog.empty()) (void)attempt_remote();
       }
     }
-    if (!backlogged) {
-      if (tailer) arrived += tailer->poll(incoming);
-      if (socket) arrived += socket->drain(incoming);
-    }
+    if (tailer && !backlogged) arrived += tailer->poll(incoming);
     for (SourceLine& source_line : incoming) {
       ++delta_line_no;
       const std::string& line = source_line.line;
@@ -714,11 +703,7 @@ IngestStats run_ingest(const IngestOptions& options,
         delta_report.add_loaded(1);
       } catch (const Error& error) {
         if (!options.lenient) throw;
-        delta_report.record(delta_line_no,
-                            source_line.offset == core::kNoSourceOffset
-                                ? 0
-                                : source_line.offset,
-                            error.what());
+        delta_report.record(delta_line_no, source_line.offset, error.what());
       }
     }
     stats.quarantined = delta_report.skipped();
@@ -766,7 +751,6 @@ IngestStats run_ingest(const IngestOptions& options,
     }
   }
 
-  if (socket) stats.source_rearms = socket->rearms();
   // Duplicates are dropped at two levels: connection threads re-ACK
   // batches already at-or-below the durable watermark (the common resend
   // path), and attempt_remote catches the race where the duplicate was

@@ -30,11 +30,11 @@
 // EIO, a full /tmp) no longer kills the run. The flush parks mid-stage and
 // is retried every `retry_interval` seconds while the loop keeps tailing
 // its sources (bounded by `max_pending_lines`, past which polling pauses
-// and socket backpressure engages). Completed stages are never redone, so
-// when the disk recovers the republished snapshot is byte-identical to an
-// unfaulted run's. Journal corruption at startup and a rotated/truncated
-// follow file (SourceRotatedError) stay fatal — those are not conditions
-// that clear on their own. The optional HEALTH endpoint (`health_port`)
+// and MDP1 senders wait on their in-flight quota). Completed stages are
+// never redone, so when the disk recovers the republished snapshot is
+// byte-identical to an unfaulted run's. Journal corruption at startup and
+// a rotated/truncated follow file (SourceRotatedError) stay fatal — those
+// are not conditions that clear on their own. The optional HEALTH endpoint (`health_port`)
 // reports `degraded=` so `mapit supervise` can see the state.
 #pragma once
 
@@ -67,9 +67,6 @@ struct IngestOptions {
   /// Remote `mapit send` clients authenticate with `secret` and get
   /// exactly-once journaling (ACK after fsync, watermark dedupe).
   int listen_port = -1;
-  /// Legacy plaintext line listener (-1 = none; 0 = ephemeral). Kept for
-  /// trusted loopback producers; anything remote should speak MDP1.
-  int listen_plain_port = -1;
   /// Shared HMAC secret for the MDP1 listener (required with listen_port).
   std::string secret;
   /// MDP1 liveness tuning; 0 disables the heartbeat / read deadline
@@ -111,12 +108,10 @@ struct IngestStats {
   std::uint64_t quarantined = 0;      ///< delta lines that failed to parse
   std::uint64_t publishes = 0;        ///< snapshot publications
   std::uint64_t degraded_entries = 0; ///< flush failures that began a park
-  std::uint64_t source_rearms = 0;    ///< ingest listener re-binds
   std::uint64_t remote_batches = 0;   ///< MDP1 batches journaled + ACKed
   std::uint64_t remote_duplicates = 0;///< replayed batches deduped by watermark
   std::uint32_t snapshot_crc = 0;     ///< last published payload CRC
   std::uint16_t listen_port = 0;      ///< bound MDP1 port (when listening)
-  std::uint16_t listen_plain_port = 0;///< bound plaintext port (when enabled)
   std::uint16_t health_port = 0;      ///< bound HEALTH port (when enabled)
 };
 

@@ -1,28 +1,14 @@
 #include "ingest/source.h"
 
 #include <fcntl.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cerrno>
 #include <utility>
 
-#include "query/server.h"
-
 namespace mapit::ingest {
-
-namespace {
-
-/// A socket client streaming this much without a newline is not sending
-/// corpus lines; drop it rather than buffer without bound.
-constexpr std::size_t kMaxPartialLine = 1 << 20;
-
-}  // namespace
-
-// ---- FileTailer ----------------------------------------------------------
 
 FileTailer::FileTailer(std::string path, std::uint64_t start_offset,
                        fault::Io& io)
@@ -135,178 +121,6 @@ void FileTailer::check_rotation() {
         " was rotated: the path names a different file now (the tailer "
         "would re-read from a stale offset)");
   }
-}
-
-// ---- IngestSocket --------------------------------------------------------
-
-IngestSocket::IngestSocket(std::uint16_t port, std::size_t max_queued,
-                           fault::Io& io)
-    : max_queued_(max_queued), io_(&io) {
-  query::ServerOptions options;
-  options.port = port;
-  listen_fd_ = query::detail::bind_listener(options, /*nonblocking=*/false,
-                                            &port_);
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-IngestSocket::~IngestSocket() {
-  stopping_.store(true);
-  {
-    // Under the lock: rearm_listener() rechecks stopping_ under the same
-    // lock before installing a fresh fd, so either we shut the fd it
-    // installed or it never installs one.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  space_cv_.notify_all();  // release readers blocked on a full queue
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    connections.swap(connections_);
-  }
-  for (std::thread& thread : connections) thread.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void IngestSocket::accept_loop() {
-  while (!stopping_.load()) {
-    int listen_fd;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      listen_fd = listen_fd_;
-    }
-    if (listen_fd < 0) {
-      // The listener died on a fatal accept error; keep trying to re-bind
-      // the original port instead of going deaf for the rest of the run.
-      if (!rearm_listener()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds{10});
-      }
-      continue;
-    }
-    const int fd = io_->accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (stopping_.load()) break;
-      if (errno == EINTR) continue;
-      if (query::detail::transient_accept_error(errno)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds{1});
-        continue;
-      }
-      // Unrecoverable on this fd (EBADF, EINVAL after an injected fault,
-      // ...): drop it and fall into the re-arm path above.
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (listen_fd_ == listen_fd) {
-          ::close(listen_fd_);
-          listen_fd_ = -1;
-        }
-      }
-      continue;
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_.load()) {
-      ::close(fd);
-      break;
-    }
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-}
-
-bool IngestSocket::rearm_listener() {
-  query::ServerOptions options;
-  options.port = port_;
-  int fd = -1;
-  try {
-    fd = query::detail::bind_listener(options, /*nonblocking=*/false,
-                                      nullptr);
-  } catch (const Error&) {
-    return false;  // port still busy (lingering sockets); retried shortly
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (stopping_.load()) {
-    ::close(fd);
-    return false;
-  }
-  listen_fd_ = fd;
-  rearms_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void IngestSocket::handle_connection(int fd) {
-  try {
-    read_lines(fd);
-  } catch (...) {
-    // One client's failure — an injected recv fault, a hostile payload —
-    // is isolated to that connection; the listener and every other reader
-    // keep running.
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connection_fds_.erase(
-        std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
-        connection_fds_.end());
-  }
-  ::close(fd);
-}
-
-void IngestSocket::read_lines(int fd) {
-  std::string pending;
-  char buffer[16 * 1024];
-  while (true) {
-    const ssize_t n = io_->recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or connection error
-    pending.append(buffer, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    bool dead = false;
-    while (true) {
-      const std::size_t newline = pending.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string line = pending.substr(start, newline - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      start = newline + 1;
-      if (!enqueue(std::move(line))) {
-        dead = true;  // shutting down
-        break;
-      }
-    }
-    if (dead) break;
-    pending.erase(0, start);
-    if (pending.size() > kMaxPartialLine) break;  // not a corpus client
-  }
-  // An incomplete final line (no newline before EOF) is dropped: the
-  // client never finished sending it.
-}
-
-bool IngestSocket::enqueue(std::string line) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Backpressure: a full queue blocks this reader (and therefore, through
-  // TCP flow control, its client) until the ingest loop drains.
-  space_cv_.wait(lock, [&] {
-    return stopping_.load() || queue_.size() < max_queued_;
-  });
-  if (stopping_.load()) return false;
-  queue_.push_back(std::move(line));
-  received_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-std::size_t IngestSocket::drain(std::vector<SourceLine>& out) {
-  std::deque<std::string> lines;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    lines.swap(queue_);
-  }
-  if (!lines.empty()) space_cv_.notify_all();
-  for (std::string& line : lines) {
-    out.push_back(SourceLine{core::kNoSourceOffset, std::move(line)});
-  }
-  return lines.size();
 }
 
 }  // namespace mapit::ingest

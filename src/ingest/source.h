@@ -1,41 +1,28 @@
-// Delta sources for streaming ingestion: where new trace lines come from.
+// The delta file source for streaming ingestion: FileTailer tail-follows
+// an append-only delta corpus file and hands the ingest loop each new
+// line tagged with its byte offset. (Remote producers use the MDP1
+// transport of transport.h instead.)
 //
-// Two sources, both producing the same thing — raw corpus lines tagged
-// with a source byte offset (kNoSourceOffset when there is none):
-//
-//   * FileTailer — tail-follows an append-only delta corpus file. Only
-//     complete ('\n'-terminated) lines are emitted; a partial tail line
-//     waits for the rest of its bytes. The tailer keeps its fd open across
-//     polls, so appends by a concurrent writer are picked up by plain
-//     read() calls — no seeking, which keeps the whole surface inside
-//     fault::Io. A file that does not exist yet is simply "no input";
-//     the tailer retries the open on every poll. The input is append-only
-//     by contract: rewriting, truncating, or rotating the followed file is
-//     DETECTED, not survived — at every EOF the tailer compares the held
-//     fd's identity (dev/inode) with whatever the path names now and the
-//     file size with the bytes already consumed, and throws
-//     SourceRotatedError (a loud, distinct failure) rather than silently
-//     re-reading garbage from a stale offset.
-//
-//   * IngestSocket — a bounded TCP intake on 127.0.0.1. Clients connect,
-//     send corpus lines, and close; every complete line is queued for the
-//     ingest loop. The queue is bounded: when it is full the reader
-//     threads stop reading, so a fast producer is throttled by TCP
-//     backpressure instead of growing the process (same philosophy as the
-//     query servers' write-buffer high-water mark). Listener and sockets
-//     share the query servers' bind helper and the fault::Io boundary.
+// Only complete ('\n'-terminated) lines are emitted; a partial tail line
+// waits for the rest of its bytes. The tailer keeps its fd open across
+// polls, so appends by a concurrent writer are picked up by plain read()
+// calls — no seeking, which keeps the whole surface inside fault::Io. A
+// file that does not exist yet is simply "no input"; the tailer retries
+// the open on every poll. The input is append-only by contract:
+// rewriting, truncating, or rotating the followed file is DETECTED, not
+// survived — at every EOF the tailer compares the held fd's identity
+// (dev/inode) with whatever the path names now and the file size with
+// the bytes already consumed, and throws SourceRotatedError (a loud,
+// distinct failure) rather than silently re-reading garbage from a stale
+// offset.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <sys/types.h>
+
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/journal.h"
 #include "fault/io.h"
 #include "net/error.h"
 
@@ -51,12 +38,10 @@ class SourceRotatedError : public Error {
   using Error::Error;
 };
 
-/// One delta corpus line plus where it came from.
+/// One delta corpus line plus where it starts in the followed file.
 struct SourceLine {
-  /// Byte offset of the line start in the followed file, or
-  /// core::kNoSourceOffset for socket lines.
-  std::uint64_t offset = core::kNoSourceOffset;
-  std::string line;  ///< without the trailing newline
+  std::uint64_t offset = 0;  ///< byte offset of the line start
+  std::string line;          ///< without the trailing newline
 };
 
 class FileTailer {
@@ -99,64 +84,6 @@ class FileTailer {
   ::ino_t ino_ = 0;
   bool have_identity_ = false;
   fault::Io* io_;
-};
-
-class IngestSocket {
- public:
-  /// Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts the
-  /// accept thread. Throws mapit::Error when the listener cannot be set
-  /// up. `max_queued` bounds the line queue (backpressure past it).
-  explicit IngestSocket(std::uint16_t port, std::size_t max_queued = 65536,
-                        fault::Io& io = fault::system_io());
-  IngestSocket(const IngestSocket&) = delete;
-  IngestSocket& operator=(const IngestSocket&) = delete;
-
-  /// Stops accepting, closes every connection, joins all threads.
-  ~IngestSocket();
-
-  /// The bound port (the chosen one when constructed with port 0).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-
-  /// Moves every queued line into `out` (offset = kNoSourceOffset).
-  /// Returns the number of lines appended. Never blocks.
-  std::size_t drain(std::vector<SourceLine>& out);
-
-  /// Lines accepted into the queue so far.
-  [[nodiscard]] std::uint64_t received() const {
-    return received_.load(std::memory_order_relaxed);
-  }
-
-  /// Times the listener died on a fatal accept error and was re-bound.
-  [[nodiscard]] std::uint64_t rearms() const {
-    return rearms_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void accept_loop();
-  void handle_connection(int fd);
-  /// The recv/parse body of handle_connection; may throw, the wrapper
-  /// isolates the failure to this one connection.
-  void read_lines(int fd);
-  /// Re-binds the listener on the original port after a fatal accept
-  /// error. False when binding failed (retried) or we are stopping.
-  bool rearm_listener();
-  /// Blocks while the queue is full (backpressure); false once stopping.
-  bool enqueue(std::string line);
-
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::size_t max_queued_;
-  fault::Io* io_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> received_{0};
-  std::atomic<std::uint64_t> rearms_{0};
-
-  std::mutex mutex_;  ///< guards queue_, connection_fds_, connections_
-  std::condition_variable space_cv_;  ///< signalled when the queue drains
-  std::deque<std::string> queue_;
-  std::vector<int> connection_fds_;
-  std::vector<std::thread> connections_;
-  std::thread accept_thread_;
 };
 
 }  // namespace mapit::ingest

@@ -669,12 +669,11 @@ void TransportServer::run_connection(const std::shared_ptr<Connection>& conn) {
   }
   if (std::memcmp(magic.data(), kTransportMagic, sizeof(kTransportMagic)) !=
       0) {
-    // Not an MDP1 client. One-line diagnosis, clean close — the legacy
-    // line protocol lives behind --listen-plain, never on this port.
+    // Not an MDP1 client. One-line diagnosis, clean close.
     refused_plaintext_.fetch_add(1, std::memory_order_relaxed);
     (void)send_locked(*conn,
                       "ERR this port speaks MDP1 (framed transport); use "
-                      "--listen-plain for raw line ingest\n");
+                      "`mapit send` to ship delta lines\n");
     return;
   }
   last_rx = Clock::now();

@@ -1,11 +1,9 @@
 // MDP1: the framed, authenticated delta transport for remote ingestion.
 //
-// The legacy IngestSocket (source.h) accepts raw newline-delimited lines
-// from anyone who can reach the port and loses track of what arrived when
-// a connection dies. MDP1 replaces it for remote monitors with a protocol
-// that survives sender crashes, receiver crashes, partitions, and
-// duplicate delivery without ever violating the byte-identical-to-cold-run
-// invariant:
+// MDP1 is the one way deltas reach `mapit ingest` over the network (a
+// local producer can append to a `--follow` file instead). It survives
+// sender crashes, receiver crashes, partitions, and duplicate delivery
+// without ever violating the byte-identical-to-cold-run invariant:
 //
 //   client                               server
 //     "MDP1"              ------------>            (4-byte stream magic)
@@ -273,7 +271,7 @@ struct ReceivedBatch {
 };
 
 /// The MDP1 listener: accept thread plus one reader thread per connection,
-/// mirroring IngestSocket's lifecycle (bounded queue, clean shutdown).
+/// a bounded batch queue and a clean shutdown.
 /// The ingest loop drains batches, journals + fsyncs them, then calls
 /// ack() — the server itself never touches the journal.
 class TransportServer {

@@ -24,7 +24,7 @@ namespace {
 /// only costs extra wakeups, never lost readiness.
 constexpr int kMaxEvents = 128;
 
-/// recv chunk size (matches the blocking server's stack buffer).
+/// recv chunk size.
 constexpr std::size_t kReadChunk = 64 * 1024;
 
 /// Compact the write buffer once this many sent bytes sit in front of the
@@ -253,7 +253,7 @@ void AsyncServer::handle_readable(Connection& connection,
     }
     if (n == 0) {
       // Peer half-closed: no more requests, flush what it is owed, then
-      // close. Matches the blocking server's drain-on-EOF behavior.
+      // close.
       connection.want_close = true;
       break;
     }
@@ -294,10 +294,10 @@ void AsyncServer::accept_ready(std::chrono::steady_clock::time_point now) {
         return;
       }
       if (detail::transient_accept_error(err)) {
-        // The event-loop version of the blocking server's backoff sleep:
-        // deregister the listener and re-add it once the deadline passes —
-        // the loop keeps serving live connections in the meantime, and
-        // level-triggered epoll re-reports the pending backlog on re-add.
+        // Back off without sleeping: deregister the listener and re-add it
+        // once the deadline passes — the loop keeps serving live
+        // connections in the meantime, and level-triggered epoll
+        // re-reports the pending backlog on re-add.
         accept_retries_.fetch_add(1, std::memory_order_relaxed);
         accept_backoff_ =
             accept_backoff_.count() == 0
@@ -310,8 +310,7 @@ void AsyncServer::accept_ready(std::chrono::steady_clock::time_point now) {
         }
         return;
       }
-      // Unrecoverable (EBADF, EINVAL): the listener is dead; match the
-      // blocking server, whose accept loop ends only then.
+      // Unrecoverable (EBADF, EINVAL): the listener is dead; the loop ends.
       stopping_.store(true);
       return;
     }

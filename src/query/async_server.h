@@ -1,23 +1,21 @@
-// Epoll event-loop TCP server over a QueryEngine: the scale-out sibling of
-// the thread-per-connection LineServer (server.h).
+// Epoll event-loop TCP server over a QueryEngine: what `mapit serve` runs.
 //
-// Why a second server: the blocking design needs one thread per client and
-// — before SO_SNDTIMEO — could be pinned forever by a client that stopped
-// reading mid-batch. This server is readiness-driven: one event loop owns
-// every connection, sockets are non-blocking, and nothing ever blocks in
-// send or recv, so a stalled peer can cost memory bounds it cannot exceed
-// and nothing else. N independent processes can serve the same immutable
-// mmap'd snapshot behind SO_REUSEPORT (`ServerOptions::reuse_port`) for
-// per-core scale-out.
+// The server is readiness-driven: one event loop owns every connection,
+// sockets are non-blocking, and nothing ever blocks in send or recv, so a
+// stalled peer can cost memory bounds it cannot exceed and nothing else.
+// N independent processes can serve the same immutable mmap'd snapshot
+// behind SO_REUSEPORT (`ServerOptions::reuse_port`) for per-core
+// scale-out.
 //
 // Protocols. Both run on the same port, implemented by the socketless
 // query::ProtocolSession (protocol.h) — one session per connection, so the
 // exact framing code that answers TCP clients is also driven directly by
 // unit tests and the fuzz harnesses:
-//   * Line protocol — byte-identical to LineServer (one '\n'-terminated
-//     query per line, exactly one answer line each, CRLF tolerated, HEALTH
-//     answered by the server). tests/query/async_server_test.cpp proves
-//     the answer streams of the two servers match byte for byte.
+//   * Line protocol — one '\n'-terminated query per line, exactly one
+//     answer line each (QueryEngine::answer, the bytes `mapit query`
+//     prints), CRLF tolerated, blank lines unanswered, HEALTH answered by
+//     the server. tests/query/async_server_test.cpp pins the answer stream
+//     byte for byte.
 //   * Binary protocol — for bulk clients. A connection whose first four
 //     bytes are the magic "MQB1" switches to length-prefixed framing:
 //     requests and responses are `uint32 little-endian payload length`
@@ -39,15 +37,17 @@
 // pauses *reading* (EPOLLIN off), so a slow reader throttles itself
 // instead of growing server state.
 //
-// Overload and failure behavior matches LineServer (same ServerOptions,
-// same refusal line, same ERR-and-discard for oversized lines, same idle
-// timeout semantics, same transient-accept backoff — implemented by
-// disarming the listener until the backoff deadline instead of sleeping).
+// Overload and failure behavior (DESIGN.md §9): past `max_connections` a
+// client gets the one-line capacity refusal and a close; an oversized
+// request line gets an ERR line and is discarded through its newline;
+// idle connections close after `idle_timeout`; transient accept failures
+// disarm the listener until a capped backoff deadline instead of sleeping;
+// past `max_inflight_bytes` a batch is shed with "ERR overloaded retry".
 // stop() drains gracefully but boundedly: pending answers are flushed
 // until `drain_timeout`, then stragglers are closed — a stalled reader can
 // never block shutdown. All socket/epoll syscalls go through fault::Io, so
-// the PR 4 chaos matrices (tests/query/server_fault_test.cpp) run
-// identically against both servers.
+// the chaos matrix (tests/query/server_fault_test.cpp) injects failures
+// at every one of them.
 #pragma once
 
 #include <atomic>
@@ -66,6 +66,9 @@
 #include "query/server.h"
 
 namespace mapit::query {
+
+class SnapshotHub;      // hub.h — live snapshot hot-swap
+struct LoadedSnapshot;  // hub.h — one pinned snapshot generation
 
 class AsyncServer {
  public:
@@ -93,7 +96,7 @@ class AsyncServer {
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
   /// Runs the event loop on the calling thread until stop() from another
-  /// thread (or a fatally dead listener). `mapit serve --async` sits here.
+  /// thread (or a fatally dead listener). `mapit serve` sits here.
   void serve_forever();
 
   /// Runs the event loop on a background thread (tests and benches).

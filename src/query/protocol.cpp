@@ -106,7 +106,7 @@ void ProtocolSession::process_line(std::string& out) {
   in_.erase(0, start);
   // An incomplete line past the bound is answered and discarded NOW — the
   // buffer must stay bounded no matter how much the client streams without
-  // a newline (same rule as the blocking server).
+  // a newline.
   if (in_.size() > max_line_bytes_) {
     out += "ERR request line exceeds " + std::to_string(max_line_bytes_) +
            " bytes\n";

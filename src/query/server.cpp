@@ -2,39 +2,17 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "net/error.h"
-#include "query/hub.h"
 
 namespace mapit::query {
-
-namespace {
-
-[[nodiscard]] bool send_all(fault::Io& io, int fd, const std::string& bytes) {
-  std::size_t sent = 0;
-  while (sent < bytes.size()) {
-    // MSG_NOSIGNAL: a client that disconnected mid-batch must surface as
-    // EPIPE on this call, never as a process-killing SIGPIPE.
-    const ssize_t n = io.send(fd, bytes.data() + sent, bytes.size() - sent,
-                              MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 namespace detail {
 
@@ -123,266 +101,6 @@ std::string format_health(const QueryEngine& engine, std::uint64_t generation,
     }
   }
   return out;
-}
-
-LineServer::LineServer(const QueryEngine& engine, const ServerOptions& options)
-    : engine_(&engine),
-      options_(options),
-      io_(options.io != nullptr ? options.io : &fault::system_io()),
-      started_(std::chrono::steady_clock::now()) {
-  listen_fd_ = detail::bind_listener(options, /*nonblocking=*/false, &port_);
-}
-
-LineServer::LineServer(const QueryEngine& engine, std::uint16_t port)
-    : LineServer(engine, ServerOptions{.port = port}) {}
-
-LineServer::LineServer(SnapshotHub& hub, const ServerOptions& options)
-    : hub_(&hub),
-      options_(options),
-      io_(options.io != nullptr ? options.io : &fault::system_io()),
-      started_(std::chrono::steady_clock::now()) {
-  listen_fd_ = detail::bind_listener(options, /*nonblocking=*/false, &port_);
-}
-
-LineServer::~LineServer() { stop(); }
-
-void LineServer::serve_forever() { accept_loop(); }
-
-void LineServer::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void LineServer::close_listener_locked() {
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void LineServer::accept_loop() {
-  {
-    const std::lock_guard<std::mutex> lock(listener_mutex_);
-    accept_active_ = true;
-  }
-  std::chrono::milliseconds backoff{0};
-  while (!stopping_.load()) {
-    int listen_fd;
-    {
-      const std::lock_guard<std::mutex> lock(listener_mutex_);
-      listen_fd = listen_fd_;
-    }
-    if (listen_fd < 0) break;  // stop() already closed a never-started loop
-    const int fd = io_->accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      const int err = errno;
-      if (stopping_.load()) break;
-      if (err == EINTR) continue;
-      if (detail::transient_accept_error(err)) {
-        // Capped exponential backoff, interruptible by stop(): an EMFILE
-        // burst slows accepts down, it never ends the serve loop.
-        accept_retries_.fetch_add(1, std::memory_order_relaxed);
-        backoff = backoff.count() == 0
-                      ? std::chrono::milliseconds{1}
-                      : std::min(backoff * 2, options_.max_accept_backoff);
-        std::unique_lock<std::mutex> lock(listener_mutex_);
-        accept_cv_.wait_for(lock, backoff, [&] { return stopping_.load(); });
-        continue;
-      }
-      break;  // listener shut down or unrecoverable (EBADF, EINVAL)
-    }
-    backoff = std::chrono::milliseconds{0};
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    if (connection_fds_.size() >= options_.max_connections) {
-      refused_.fetch_add(1, std::memory_order_relaxed);
-      (void)send_all(*io_, fd, detail::kCapacityRefusal);
-      ::close(fd);
-      continue;
-    }
-    connection_fds_.push_back(fd);
-    connections_.emplace_back([this, fd] { handle_connection(fd); });
-  }
-  {
-    const std::lock_guard<std::mutex> lock(listener_mutex_);
-    // When stop() triggered the exit it cannot close the fd itself — this
-    // thread may still have been inside accept4 on it, and a close would
-    // race a recycled descriptor. Closing here, after the last accept4
-    // returned, is safe for every exit path (including a serve_forever()
-    // caller stop() can never join).
-    if (stopping_.load()) close_listener_locked();
-    accept_active_ = false;
-  }
-  accept_cv_.notify_all();
-}
-
-void LineServer::handle_connection(int fd) {
-  const auto socket_timeout = [fd](int option, std::chrono::milliseconds ms) {
-    timeval tv{};
-    tv.tv_sec = static_cast<time_t>(ms.count() / 1000);
-    tv.tv_usec = static_cast<suseconds_t>(ms.count() % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
-  };
-  if (options_.idle_timeout.count() > 0) {
-    socket_timeout(SO_RCVTIMEO, options_.idle_timeout);
-  }
-  // A peer that stops *reading* must be bounded too: without SO_SNDTIMEO a
-  // full socket buffer parks this thread in send() forever — stop() cannot
-  // interrupt it and graceful drain stalls behind one hostile client.
-  const std::chrono::milliseconds send_budget =
-      options_.send_timeout.count() > 0 ? options_.send_timeout
-                                        : options_.idle_timeout;
-  if (send_budget.count() > 0) {
-    socket_timeout(SO_SNDTIMEO, send_budget);
-  }
-  std::string pending;
-  std::string responses;
-  bool discarding = false;  // inside an oversized line, already answered
-  char buffer[64 * 1024];
-  while (true) {
-    const ssize_t n = io_->recv(fd, buffer, sizeof(buffer), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;  // idle
-    if (n <= 0) break;  // EOF or connection error
-    std::string_view chunk(buffer, static_cast<std::size_t>(n));
-    if (discarding) {
-      const std::size_t newline = chunk.find('\n');
-      if (newline == std::string_view::npos) continue;  // still mid-line
-      chunk.remove_prefix(newline + 1);
-      discarding = false;
-    }
-    pending.append(chunk);
-
-    // Pin exactly one snapshot generation for this whole read batch: every
-    // answer below (including HEALTH) comes from it, so a concurrent
-    // republish can never tear a pipelined batch. The pin drops at the end
-    // of the iteration, letting a retired generation unmap promptly.
-    std::shared_ptr<const LoadedSnapshot> pin;
-    const QueryEngine* engine = engine_;
-    std::uint64_t generation = 1;
-    if (hub_ != nullptr) {
-      pin = hub_->current();
-      engine = &pin->engine;
-      generation = pin->generation;
-    }
-
-    // Answer every complete line in this chunk with one send.
-    responses.clear();
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t newline = pending.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string_view line(pending.data() + start, newline - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      start = newline + 1;
-      if (line.empty()) continue;  // blank keep-alive lines get no answer
-      if (line.size() > options_.max_line_bytes) {
-        responses += "ERR request line exceeds " +
-                     std::to_string(options_.max_line_bytes) + " bytes";
-      } else if (line == "HEALTH") {
-        // Server-level readiness probe; answered here because the engine
-        // knows nothing about connections or uptime.
-        responses += health_line(*engine, generation);
-      } else {
-        responses += engine->answer(line);
-      }
-      responses += '\n';
-    }
-    pending.erase(0, start);
-    // An incomplete line past the bound is answered and discarded NOW —
-    // the buffer must stay bounded no matter how much the client streams
-    // without a newline.
-    if (pending.size() > options_.max_line_bytes) {
-      responses += "ERR request line exceeds " +
-                   std::to_string(options_.max_line_bytes) + " bytes\n";
-      pending.clear();
-      pending.shrink_to_fit();
-      discarding = true;
-    }
-    if (!responses.empty()) {
-      // Load shedding: if this batch's answers would push the server past
-      // its aggregate in-flight budget, refuse the whole batch and close —
-      // a bounded "try elsewhere" beats queueing unboundedly behind slow
-      // readers. Checked before the bytes are owed, so shed connections
-      // never contribute to the pressure they are shed for.
-      const std::size_t budget = options_.max_inflight_bytes;
-      if (budget > 0) {
-        const std::size_t inflight =
-            inflight_bytes_.load(std::memory_order_relaxed);
-        if (inflight + responses.size() > budget) {
-          shed_.fetch_add(1, std::memory_order_relaxed);
-          (void)send_all(*io_, fd, detail::kOverloadRefusal);
-          break;
-        }
-      }
-      inflight_bytes_.fetch_add(responses.size(), std::memory_order_relaxed);
-      const bool sent = send_all(*io_, fd, responses);
-      inflight_bytes_.fetch_sub(responses.size(), std::memory_order_relaxed);
-      if (!sent) break;
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connection_fds_.erase(std::remove(connection_fds_.begin(),
-                                      connection_fds_.end(), fd),
-                          connection_fds_.end());
-  }
-  ::close(fd);
-}
-
-std::size_t LineServer::active_connections() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return connection_fds_.size();
-}
-
-std::string LineServer::health_line(const QueryEngine& engine,
-                                    std::uint64_t generation) const {
-  return format_health(engine, generation,
-                       hub_ != nullptr ? hub_->swap_count() : 0, started_,
-                       active_connections(), refused_connections(),
-                       accept_retries(), shed_connections(),
-                       hub_ != nullptr ? hub_->last_error() : std::string());
-}
-
-void LineServer::stop() {
-  // Serialize stop() callers (tests stop explicitly, the destructor stops
-  // again); the second caller finds everything joined and does nothing.
-  const std::lock_guard<std::mutex> stop_lock(stop_mutex_);
-  if (!stopping_.exchange(true)) {
-    const std::lock_guard<std::mutex> lock(listener_mutex_);
-    // Wake the accept loop with shutdown only: the loop closes the fd
-    // itself once it is certainly outside accept4 (see accept_loop).
-    // Unconditional even when the loop is not (yet) running — shutdown on
-    // an idle listener is harmless, and a start() whose thread has not
-    // reached accept4 yet must still find the listener dead.
-    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  }
-  accept_cv_.notify_all();  // interrupt a backoff sleep immediately
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // A serve_forever() caller runs the loop on a thread stop() cannot
-    // join; wait for the loop to report exit, then close the listener if
-    // the loop never ran (constructed but never served).
-    std::unique_lock<std::mutex> lock(listener_mutex_);
-    accept_cv_.wait(lock, [&] { return !accept_active_; });
-    close_listener_locked();
-  }
-
-  std::vector<std::thread> connections;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    // Graceful drain: half-close the read side only, so every handler sees
-    // EOF after its current batch, flushes the answers it owes, and closes
-    // its own fd. SHUT_RDWR here would tear answers out from under
-    // in-flight batches.
-    for (int fd : connection_fds_) ::shutdown(fd, SHUT_RD);
-    connections.swap(connections_);
-  }
-  for (std::thread& thread : connections) thread.join();
 }
 
 }  // namespace mapit::query

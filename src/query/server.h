@@ -1,70 +1,28 @@
-// Blocking TCP line-protocol server over a QueryEngine.
-//
-// Protocol: clients send QueryEngine protocol lines ('\n'-terminated, CRLF
-// tolerated); the server answers each non-empty line with exactly one
-// answer line, in order, so clients may pipeline arbitrarily deep batches.
-// One line is handled by the server itself rather than the engine: "HEALTH"
-// answers a readiness line ("OK crc32=<hex> uptime=<n> connections=<n>
-// inferences=<n> refused=<n> accept_retries=<n> ... last_swap_error=<...>")
-// so load balancers and the `mapit supervise` probe can check the server
-// and verify which snapshot it is serving (see format_health below).
-// Answers for all complete lines in one read are written with a single
-// send, which is what sustains 100k+ queries/sec over loopback (see
-// bench/perf_query_report.cpp).
-//
-// Concurrency: one thread per connection. Every connection thread shares
-// the one QueryEngine — the snapshot mapping is immutable and the engine
-// holds no mutable state, so there is no locking anywhere on the query
-// path. Server bookkeeping (the live-connection list) is mutex-protected;
-// it is touched only on connect/disconnect.
-//
-// Overload and failure behavior (DESIGN.md §9):
-//   * accept4 failures are never fatal: transient errors (EMFILE, ENFILE,
-//     ECONNABORTED, ENOBUFS, ENOMEM, EAGAIN) retry with capped exponential
-//     backoff; only listener shutdown ends the loop.
-//   * At `max_connections` live connections a new client gets one refusal
-//     line ("ERR server at connection capacity (try again later)") and an
-//     immediate close — the 503 of this protocol.
-//   * A request line longer than `max_line_bytes` is answered with an ERR
-//     line and discarded through its terminating newline; the connection
-//     and the rest of the batch survive, and the buffer never grows
-//     unboundedly.
-//   * Connections idle longer than `idle_timeout` are closed (SO_RCVTIMEO).
-//   * stop() drains gracefully: the read side of every connection is shut
-//     down, in-flight batches finish and their answers are sent, then the
-//     connection closes.
+// What the query server (AsyncServer, async_server.h) shares with the
+// ingest listeners: the options every listener takes, the 127.0.0.1
+// listener setup, the accept4 errnos that mean "retry" rather than "stop",
+// the refusal line past the connection cap, and the HEALTH probe answer
+// (format_health). Overload and failure behavior is described in
+// DESIGN.md §9.
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include "fault/io.h"
 #include "query/query_engine.h"
 
 namespace mapit::query {
 
-class SnapshotHub;      // hub.h — live snapshot hot-swap
-struct LoadedSnapshot;  // hub.h — one pinned snapshot generation
-
-/// Options shared by both servers (the blocking LineServer here and the
-/// epoll AsyncServer in async_server.h); fields that only one of them
-/// consults say so.
+/// AsyncServer's options; the ingest listeners pass theirs to
+/// detail::bind_listener too.
 struct ServerOptions {
   /// 127.0.0.1 port to bind (0 picks an ephemeral port, see port()).
   std::uint16_t port = 0;
   /// Close connections with no traffic for this long. zero = no timeout.
   std::chrono::milliseconds idle_timeout{0};
-  /// Give up on a blocked send after this long and drop the connection
-  /// (LineServer: SO_SNDTIMEO). Zero falls back to `idle_timeout` — a
-  /// client that neither reads nor writes for the idle budget is gone
-  /// either way. Both zero = block forever (test-only setups).
-  /// The AsyncServer never blocks in send; backpressure replaces this.
-  std::chrono::milliseconds send_timeout{0};
   /// listen(2) backlog; 0 = SOMAXCONN. Accept bursts beyond the backlog
   /// get SYN drops/refusals the server never sees, so default to the
   /// kernel cap rather than a magic small number.
@@ -79,14 +37,14 @@ struct ServerOptions {
   std::size_t max_line_bytes = 1 << 20;
   /// Upper bound for the accept-failure backoff sleep.
   std::chrono::milliseconds max_accept_backoff{200};
-  /// AsyncServer write-buffer high-water mark: once a connection owes this
-  /// many unsent bytes, the server stops *reading* from it (EPOLLIN off)
-  /// until the peer drains below half — a stalled reader caps its own
-  /// memory and never blocks the loop.
+  /// Write-buffer high-water mark: once a connection owes this many unsent
+  /// bytes, the server stops *reading* from it (EPOLLIN off) until the
+  /// peer drains below half — a stalled reader caps its own memory and
+  /// never blocks the loop.
   std::size_t max_write_buffer = 1 << 20;
-  /// AsyncServer stop() drain bound: connections that cannot flush their
-  /// pending answers within this budget are closed anyway, so a stalled
-  /// reader cannot block graceful shutdown.
+  /// stop() drain bound: connections that cannot flush their pending
+  /// answers within this budget are closed anyway, so a stalled reader
+  /// cannot block graceful shutdown.
   std::chrono::milliseconds drain_timeout{5000};
   /// Load-shedding budget: aggregate answer bytes accepted but not yet
   /// handed to the kernel, across all connections of this server. A batch
@@ -100,135 +58,34 @@ struct ServerOptions {
 
 namespace detail {
 
-/// Creates, binds, and starts listening on the 127.0.0.1:`options.port`
-/// listener socket both servers share (SO_REUSEADDR, optional
-/// SO_REUSEPORT, `options.backlog` or SOMAXCONN). Returns the fd and
-/// writes the bound port; throws mapit::Error on any failure.
+/// Creates, binds, and starts listening on a 127.0.0.1:`options.port`
+/// listener socket (SO_REUSEADDR, optional SO_REUSEPORT, `options.backlog`
+/// or SOMAXCONN). Returns the fd and writes the bound port; throws
+/// mapit::Error on any failure.
 [[nodiscard]] int bind_listener(const ServerOptions& options, bool nonblocking,
                                 std::uint16_t* port_out);
 
-/// accept4 errnos that mean "right now", not "never again" (shared by both
-/// servers' accept paths).
+/// accept4 errnos that mean "right now", not "never again".
 [[nodiscard]] bool transient_accept_error(int err);
 
 /// The refusal line clients past `max_connections` receive.
 inline constexpr char kCapacityRefusal[] =
     "ERR server at connection capacity (try again later)\n";
 
-/// The shed answer clients get when the in-flight budget is exhausted
-/// (ServerOptions::max_inflight_bytes). Clients should back off and retry.
-inline constexpr char kOverloadRefusal[] = "ERR overloaded retry\n";
-
 }  // namespace detail
 
-/// The HEALTH probe answer (no trailing newline); shared so both servers
-/// report the identical format. `generation` and `swaps` describe the live
-/// snapshot hot-swap state (generation 1 / 0 swaps for a server bound to a
-/// fixed engine); the snapshot's own format version comes from the engine's
-/// reader. `shed` counts connections refused by the in-flight budget;
-/// `last_swap_error` is the most recent hot-swap failure ("" = none yet —
-/// reported as `last_swap_error=none`, spaces become '_' so the line stays
-/// key=value parseable). New fields append at the end — probes match the
-/// line's prefix.
+/// The HEALTH probe answer (no trailing newline). `generation` and `swaps`
+/// describe the live snapshot hot-swap state (generation 1 / 0 swaps for a
+/// server bound to a fixed engine); the snapshot's own format version
+/// comes from the engine's reader. `shed` counts connections refused by
+/// the in-flight budget; `last_swap_error` is the most recent hot-swap
+/// failure ("" = none yet — reported as `last_swap_error=none`, spaces
+/// become '_' so the line stays key=value parseable). New fields append at
+/// the end — probes match the line's prefix.
 [[nodiscard]] std::string format_health(
     const QueryEngine& engine, std::uint64_t generation, std::uint64_t swaps,
     std::chrono::steady_clock::time_point started, std::size_t connections,
     std::uint64_t refused, std::uint64_t accept_retries, std::uint64_t shed,
     const std::string& last_swap_error);
-
-class LineServer {
- public:
-  /// Binds and listens on 127.0.0.1:`options.port`. Throws mapit::Error
-  /// when the socket cannot be set up. `engine` must outlive the server.
-  LineServer(const QueryEngine& engine, const ServerOptions& options);
-
-  /// Convenience: default options with an explicit port.
-  LineServer(const QueryEngine& engine, std::uint16_t port);
-
-  /// Hot-swap mode: answers from `hub`'s current snapshot generation,
-  /// pinned once per read batch, so a republish never tears a pipelined
-  /// batch and never drops a connection. `hub` must outlive the server.
-  LineServer(SnapshotHub& hub, const ServerOptions& options);
-
-  LineServer(const LineServer&) = delete;
-  LineServer& operator=(const LineServer&) = delete;
-
-  /// Stops and joins every thread.
-  ~LineServer();
-
-  /// The bound port (the chosen one when constructed with port 0).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-
-  /// Runs the accept loop on the calling thread until stop() (from another
-  /// thread) or listener shutdown. `mapit serve` sits in this.
-  void serve_forever();
-
-  /// Runs the accept loop on a background thread (tests and benches).
-  void start();
-
-  /// Shuts down the listener, drains every live connection (in-flight
-  /// batches are answered before the close), then joins all server
-  /// threads. Idempotent.
-  void stop();
-
-  /// Connections refused with the capacity line so far.
-  [[nodiscard]] std::uint64_t refused_connections() const {
-    return refused_.load(std::memory_order_relaxed);
-  }
-
-  /// accept4 failures absorbed by backoff so far.
-  [[nodiscard]] std::uint64_t accept_retries() const {
-    return accept_retries_.load(std::memory_order_relaxed);
-  }
-
-  /// Connections closed with the overload answer (max_inflight_bytes).
-  [[nodiscard]] std::uint64_t shed_connections() const {
-    return shed_.load(std::memory_order_relaxed);
-  }
-
-  /// Live connections right now (the HEALTH line reports this too).
-  [[nodiscard]] std::size_t active_connections() const;
-
- private:
-  void accept_loop();
-  void handle_connection(int fd);
-  /// Answer for the server-level "HEALTH" probe line (no trailing
-  /// newline), reporting the batch's pinned engine and generation.
-  [[nodiscard]] std::string health_line(const QueryEngine& engine,
-                                        std::uint64_t generation) const;
-  /// Closes the listener exactly once (whichever of the accept loop's exit
-  /// and stop() runs last with the fd still open does it).
-  void close_listener_locked();
-
-  const QueryEngine* engine_ = nullptr;  ///< fixed-engine mode; else null
-  SnapshotHub* hub_ = nullptr;           ///< hot-swap mode; else null
-  ServerOptions options_;
-  fault::Io* io_ = nullptr;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> refused_{0};
-  std::atomic<std::uint64_t> accept_retries_{0};
-  std::atomic<std::uint64_t> shed_{0};
-  /// Aggregate answer bytes currently being written across all connection
-  /// threads — the quantity max_inflight_bytes budgets.
-  std::atomic<std::size_t> inflight_bytes_{0};
-  std::thread accept_thread_;
-
-  /// Guards listen_fd_ and accept_active_; accept_cv_ signals accept-loop
-  /// exit (so stop() can wait out a serve_forever() caller it cannot join)
-  /// and interrupts backoff sleeps.
-  std::mutex listener_mutex_;
-  std::condition_variable accept_cv_;
-  bool accept_active_ = false;
-
-  /// When the server came up (HEALTH uptime). Set once in the constructor.
-  std::chrono::steady_clock::time_point started_;
-
-  mutable std::mutex mutex_;
-  std::mutex stop_mutex_;  ///< serializes stop() (explicit stop + destructor)
-  std::vector<std::thread> connections_;
-  std::vector<int> connection_fds_;
-};
 
 }  // namespace mapit::query

@@ -175,7 +175,49 @@ if(DD_TOOL)
   endif()
 endif()
 
+# `serve` has one server, so the flag that picked the other one is an
+# unknown argument (exit 2), rejected before any socket is bound.
+execute_process(
+  COMMAND ${MAPIT_BIN} serve ${WORK_DIR}/snapshot.bin --async
+  TIMEOUT 30
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown argument: --async")
+  message(FATAL_ERROR "serve --async should exit 2 as an unknown argument, "
+          "got ${rc}: ${err}")
+endif()
+
 message(STATUS "cli snapshot/query OK")
+
+# `paths` takes the run options: the explicit defaults print exactly what
+# no options print, and the other engine switches are accepted.
+set(paths_flags
+  --traces ${WORK_DIR}/traces.txt
+  --rib ${WORK_DIR}/rib.txt
+  --relationships ${WORK_DIR}/relationships.txt
+  --as2org ${WORK_DIR}/as2org.txt
+  --ixps ${WORK_DIR}/ixps.txt
+  --limit 5)
+execute_process(
+  COMMAND ${MAPIT_BIN} paths ${paths_flags}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE paths_default ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT paths_default MATCHES "trace to|no traces")
+  message(FATAL_ERROR "paths failed (${rc}): ${paths_default}${err}")
+endif()
+execute_process(
+  COMMAND ${MAPIT_BIN} paths ${paths_flags} --f 0.5 --remove-rule majority
+  RESULT_VARIABLE rc OUTPUT_VARIABLE paths_explicit ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT paths_explicit STREQUAL paths_default)
+  message(FATAL_ERROR "paths with the default run options differs from "
+          "paths without them (${rc}): ${paths_explicit}${err}")
+endif()
+execute_process(
+  COMMAND ${MAPIT_BIN} paths ${paths_flags} --no-stub
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "paths --no-stub failed (${rc}): ${err}")
+endif()
+
+message(STATUS "cli paths OK")
 
 # Checkpoint/resume through the real binary: stop at every run boundary
 # (one boundary per invocation via --stop-after 1, exit code 5), chain

@@ -2,7 +2,7 @@
 // the every-bit-flip and every-truncation rejection matrices over a whole
 // checkpoint file, config-hash sensitivity (output-affecting options only),
 // and the FNV-1a input fingerprinting used to pin a checkpoint to its
-// corpus/RIB/datasets.
+// corpus/RIB/datasets (input_meta).
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "core/engine.h"
+#include "core/run_inputs.h"
 #include "net/error.h"
 
 namespace mapit::core {
@@ -217,6 +219,45 @@ TEST_F(CheckpointTest, FingerprintFileMatchesInMemoryDigest) {
   EXPECT_EQ(fingerprint_file(file, fingerprint_file(file)),
             fingerprint_bytes(fingerprint_bytes(kFingerprintSeed, content),
                               content));
+}
+
+// Checkpoints and delta journals already on disk carry these identities,
+// so input_meta must keep computing them bit for bit. The literals were
+// computed by the loaders that preceded input_meta, over the same bytes.
+TEST_F(CheckpointTest, InputMetaMatchesThePinnedIdentities) {
+  const auto write = [&](const char* name, const std::string& bytes) {
+    const std::string path = (dir_ / name).string();
+    std::ofstream(path, std::ios::binary) << bytes;
+    return path;
+  };
+  InputPaths paths;
+  paths.traces = write("traces.txt", "0|11.2.0.2|11.1.0.1@1 11.2.0.1@2\n");
+  paths.rib = write("rib.txt", "rc0|11.1.0.0/16|100\nrc0|11.2.0.0/16|200\n");
+  paths.relationships = write("relationships.txt", "100|200|-1\n");
+  paths.as2org = write("as2org.txt", "100|500\n200|500\n");
+  paths.ixps = write("ixps.txt", "195.1.0.0/24|1\n");
+  const Options options;
+
+  const CheckpointMeta all = input_meta(paths, options);
+  EXPECT_EQ(all, (CheckpointMeta{0x0f877e4f0a48f44aull, 0x721e89fc950af2f3ull,
+                                 0x18b1642debfea483ull,
+                                 0x4d56017f7c089f06ull}));
+
+  InputPaths absent = paths;
+  absent.as2org.clear();
+  const CheckpointMeta without = input_meta(absent, options);
+  EXPECT_EQ(without.datasets_fingerprint, 0x585db3a4185cfa17ull);
+
+  InputPaths emptied = paths;
+  emptied.as2org = write("empty.txt", "");
+  const CheckpointMeta empty = input_meta(emptied, options);
+  EXPECT_EQ(empty.datasets_fingerprint, 0xfbd48325d874c739ull);
+  EXPECT_NE(without, empty);
+
+  // The same bytes in another dataset slot are another run.
+  InputPaths swapped = paths;
+  std::swap(swapped.relationships, swapped.as2org);
+  EXPECT_NE(input_meta(swapped, options), all);
 }
 
 TEST_F(CheckpointTest, MissingInputFileIsALoadErrorNotACheckpointError) {

@@ -765,38 +765,6 @@ TEST_F(RemoteIngestTest, RejectedHandshakesWriteNothing) {
   EXPECT_EQ(stats.folded_traces, 0u);
 }
 
-TEST_F(RemoteIngestTest, PlainListenerKeepsLegacyLineProtocol) {
-  const int port = pick_port();
-  ASSERT_GT(port, 0);
-  ingest::IngestOptions opts = listen_options(-1);
-  opts.listen_port = -1;
-  opts.secret.clear();
-  opts.listen_plain_port = port;
-  IngestRun run;
-  run.start(opts);
-
-  {
-    RawClient client(port);
-    ASSERT_TRUE(client.connected());
-    std::string payload;
-    for (const std::string& line : delta_lines()) payload += line + "\n";
-    client.send_raw(payload);
-  }
-
-  // No ACKs in the legacy protocol: poll the published snapshot instead.
-  const std::string cold = cold_bytes();
-  ASSERT_NE(cold, base_bytes());
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (read_file((dir_ / "live.snap").string()) == cold) break;
-    std::this_thread::sleep_for(20ms);
-  }
-  EXPECT_EQ(read_file((dir_ / "live.snap").string()), cold);
-  const ingest::IngestStats stats = run.finish();
-  EXPECT_EQ(stats.folded_traces, delta_lines().size());
-  EXPECT_EQ(stats.remote_batches, 0u);
-}
-
 TEST_F(RemoteIngestTest, UnreachableReceiverExhaustsRetries) {
   write_lines(send_path_, delta_lines());
   ingest::SendOptions opts = send_options(pick_port());  // nothing listening

@@ -464,7 +464,7 @@ TEST_F(TransportServerTest, PlaintextOpenerRefusedWithOneLine) {
     const std::string reply = client.read_until_eof();
     EXPECT_NE(reply.find("ERR"), std::string::npos) << reply;
     EXPECT_NE(reply.find("MDP1"), std::string::npos) << reply;
-    EXPECT_NE(reply.find("--listen-plain"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("`mapit send`"), std::string::npos) << reply;
     EXPECT_EQ(reply.find('\n'), reply.size() - 1) << reply;  // one line
   }
   {  // An HTTP prober gets the same one-line refusal.

@@ -329,5 +329,41 @@ TEST_F(IngestEquivalenceTest, LenientQuarantinesDeltaGarbageStrictThrows) {
   EXPECT_NE(log.str().find("skipped 2"), std::string::npos);
 }
 
+// A lenient ingest reports the malformed base lines it dropped, with the
+// summary `mapit run` prints, and they do not perturb the published bytes.
+TEST_F(IngestEquivalenceTest, LenientBaseQuarantineIsLoggedLikeRun) {
+  std::vector<std::string> base(
+      lines_.begin(),
+      lines_.begin() + static_cast<std::ptrdiff_t>(base_count_));
+  base.insert(base.begin() + 1, "0|11.2.0.999|11.1.0.1@1 11.2.0.1@2");
+  ingest::IngestOptions options;
+  options.traces_path = (dir_ / "dirty_base.txt").string();
+  write_lines(options.traces_path, base);
+  options.rib_path = (dir_ / "dirty_rib.txt").string();
+  {
+    std::ofstream rib(options.rib_path);
+    rib << kRib << "rc0|not-a-prefix|100\n";
+  }
+  options.engine_options.threads = 1;
+  options.journal_path = (dir_ / "delta.jnl").string();
+  options.out_path = (dir_ / "live.snap").string();
+  options.drain = true;
+  options.lenient = true;
+  std::ostringstream log;
+  options.log = &log;
+
+  const ingest::IngestStats stats = ingest::run_ingest(options);
+  EXPECT_EQ(stats.quarantined, 0u);  // counts delta lines only
+  EXPECT_NE(log.str().find("traces: skipped 1 of " +
+                           std::to_string(base_count_ + 1) +
+                           " lines as malformed\n"),
+            std::string::npos)
+      << log.str();
+  EXPECT_NE(log.str().find("rib: skipped 1 of "), std::string::npos)
+      << log.str();
+  EXPECT_EQ(read_file(options.out_path),
+            ingest::IngestPipeline(setup(base_path_, 1)).serialize());
+}
+
 }  // namespace
 }  // namespace mapit

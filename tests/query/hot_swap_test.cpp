@@ -1,6 +1,6 @@
 // Live snapshot hot-swap: the SnapshotHub swaps republished snapshots in
 // without dropping connections, HEALTH reports the loaded generation, and —
-// the TSan-relevant part — clients hammering both protocols while the file
+// the TSan-relevant part — clients hammering the server while the file
 // is republished repeatedly always get answers that are internally
 // consistent with exactly one generation per read batch.
 #include "query/hub.h"
@@ -184,13 +184,11 @@ TEST_F(HotSwapTest, HubSwapsGenerationsAndSurvivesBadPublishes) {
 TEST_F(HotSwapTest, HealthReportsVersionGenerationAndSwaps) {
   publish(path_, data_for(100));
   SnapshotHub hub(path_);
-  LineServer blocking(hub, ServerOptions{});
-  AsyncServer async(hub, ServerOptions{});
-  blocking.start();
-  async.start();
+  AsyncServer server(hub, ServerOptions{});
+  server.start();
 
-  for (const std::uint16_t port : {blocking.port(), async.port()}) {
-    PersistentClient client(port);
+  {
+    PersistentClient client(server.port());
     const std::string health = client.batch("HEALTH\n", 1);
     EXPECT_EQ(health.rfind("OK crc32=", 0), 0u) << health;
     EXPECT_NE(health.find(" version="), std::string::npos) << health;
@@ -202,15 +200,14 @@ TEST_F(HotSwapTest, HealthReportsVersionGenerationAndSwaps) {
 
   publish(path_, data_for(300));
   ASSERT_TRUE(hub.refresh());
-  for (const std::uint16_t port : {blocking.port(), async.port()}) {
-    PersistentClient client(port);
+  {
+    PersistentClient client(server.port());
     const std::string health = client.batch("HEALTH\n", 1);
     EXPECT_NE(health.find(" generation=2 swaps=1"), std::string::npos)
         << health;
   }
 
-  blocking.stop();
-  async.stop();
+  server.stop();
 }
 
 /// Parks the snapshot reader's open inside a refresh() on a latch. A
@@ -268,19 +265,17 @@ TEST_F(HotSwapTest, ReadersKeepTheOldGenerationWhileARefreshOpens) {
             answer_for(300, "lookup 10.0.0.1 f"));
 }
 
-// The soak: clients on both protocols hold their connections open while
-// the snapshot republishes repeatedly. Every two-query batch must answer
-// from exactly one generation, and no connection may drop. TSan builds run
-// this test — the pin handoff (shared_ptr swap under the hub mutex vs.
-// concurrent reads on server threads) is exactly what it checks.
+// The soak: four clients hold their connections open while the snapshot
+// republishes repeatedly. Every two-query batch must answer from exactly
+// one generation, and no connection may drop. TSan builds run this test —
+// the pin handoff (shared_ptr swap under the hub mutex vs. concurrent
+// reads on the server thread) is exactly what it checks.
 TEST_F(HotSwapTest, ClientsSurviveRepeatedRepublishWithOneGenerationPerBatch) {
   const std::vector<std::uint32_t> asns = {100, 300};
   publish(path_, data_for(asns[0]));
   SnapshotHub hub(path_);
-  LineServer blocking(hub, ServerOptions{});
-  AsyncServer async(hub, ServerOptions{});
-  blocking.start();
-  async.start();
+  AsyncServer server(hub, ServerOptions{});
+  server.start();
 
   const std::string q1 = "lookup 10.0.0.1 f";
   const std::string q2 = "lookup 10.0.0.2 f";
@@ -311,10 +306,7 @@ TEST_F(HotSwapTest, ClientsSurviveRepeatedRepublishWithOneGenerationPerBatch) {
     }
   };
   std::vector<std::thread> clients;
-  clients.emplace_back(client_loop, blocking.port());
-  clients.emplace_back(client_loop, blocking.port());
-  clients.emplace_back(client_loop, async.port());
-  clients.emplace_back(client_loop, async.port());
+  for (int c = 0; c < 4; ++c) clients.emplace_back(client_loop, server.port());
 
   // Republish + refresh continuously; alternate content so every swap is
   // observable in the answers.
@@ -326,8 +318,7 @@ TEST_F(HotSwapTest, ClientsSurviveRepeatedRepublishWithOneGenerationPerBatch) {
   }
   done.store(true);
   for (std::thread& thread : clients) thread.join();
-  blocking.stop();
-  async.stop();
+  server.stop();
 
   EXPECT_EQ(swaps, 20);
   EXPECT_EQ(hub.swap_count(), 20u);

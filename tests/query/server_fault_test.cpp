@@ -1,11 +1,11 @@
 // Server hardening under injected faults and hostile clients: EMFILE
 // bursts on accept, idle connections, oversized request lines, connection
 // caps, clients that vanish mid-batch, stalled readers, and graceful drain
-// on stop. The whole matrix is typed over BOTH servers — the blocking
-// LineServer and the epoll AsyncServer — because the contract (DESIGN.md
-// §9, §12) is one contract with two implementations. The soak test at the
-// end runs all of it at once and still expects golden answers; the TSan CI
-// job runs this whole binary (FAULT_MATRIX stage).
+// on stop — the contract of DESIGN.md §9 and §12. The matrix is a typed
+// suite over the AsyncServer, named "Async", which keeps its ctest names
+// (ServerFaultTest/Async.*) stable. The soak test at the end runs all of
+// it at once and still expects golden answers; the TSan CI job runs this
+// whole binary (FAULT_MATRIX stage).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -20,7 +20,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "fault/plan.h"
@@ -108,13 +107,13 @@ class ServerFaultTest : public ::testing::Test {
   std::unique_ptr<QueryEngine> engine_;
 };
 
-using ServerTypes = ::testing::Types<LineServer, AsyncServer>;
+using ServerTypes = ::testing::Types<AsyncServer>;
 
 class ServerTypeNames {
  public:
   template <typename T>
   static std::string GetName(int) {
-    return std::is_same_v<T, LineServer> ? "Line" : "Async";
+    return "Async";
   }
 };
 
@@ -365,16 +364,14 @@ TYPED_TEST(ServerFaultTest, StopDrainsInFlightAnswersWholeLines) {
   }
 }
 
-// The stalled-reader regression (the bug this PR fixes): a client that
-// pipelines a deep batch and never reads a byte used to pin a LineServer
-// worker forever in a blocking send, which in turn hung stop(). Now the
-// LineServer's SO_SNDTIMEO drops the connection and the AsyncServer's
-// bounded drain closes it — either way stop() returns promptly.
+// The stalled-reader regression: a client that pipelines a deep batch and
+// never reads a byte must not hang stop(). Write backpressure stops
+// reading from it and the bounded drain closes it, so stop() returns
+// promptly.
 TYPED_TEST(ServerFaultTest, StalledReaderCannotBlockStop) {
   ServerOptions options;
-  options.send_timeout = std::chrono::milliseconds(200);   // LineServer path
-  options.max_write_buffer = 32 * 1024;                    // AsyncServer path
-  options.drain_timeout = std::chrono::milliseconds(300);  // AsyncServer path
+  options.max_write_buffer = 32 * 1024;
+  options.drain_timeout = std::chrono::milliseconds(300);
   TypeParam server(*this->engine_, options);
   server.start();
 

@@ -1,8 +1,8 @@
-// LineServer over loopback: pipelined batches from concurrent clients must
-// each get exactly the answers QueryEngine::answer produces, in order, and
-// start/stop must be clean (no leaked threads or fds — TSan and ASan jobs
-// run this test).
-#include "query/server.h"
+// AsyncServer over loopback: pipelined batches from concurrent clients
+// must each get exactly the answers QueryEngine::answer produces, in order,
+// and start/stop must be clean (no leaked threads or fds — TSan and ASan
+// jobs run this test).
+#include "query/async_server.h"
 
 #include <gtest/gtest.h>
 
@@ -85,7 +85,7 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, AnswersOneClient) {
-  LineServer server(*engine_, 0);
+  AsyncServer server(*engine_, 0);
   ASSERT_NE(server.port(), 0);
   server.start();
   const std::string response =
@@ -97,7 +97,7 @@ TEST_F(ServerTest, AnswersOneClient) {
 }
 
 TEST_F(ServerTest, ToleratesCrlfBlankAndBadLines) {
-  LineServer server(*engine_, 0);
+  AsyncServer server(*engine_, 0);
   server.start();
   const std::string response = roundtrip(
       server.port(), "lookup 10.0.0.1 f\r\n\r\n\nbogus line here\nstats\n");
@@ -110,7 +110,7 @@ TEST_F(ServerTest, ToleratesCrlfBlankAndBadLines) {
 }
 
 TEST_F(ServerTest, FourConcurrentPipelinedClients) {
-  LineServer server(*engine_, 0);
+  AsyncServer server(*engine_, 0);
   server.start();
 
   // Each client pipelines a deep batch in one write; answers must come back
@@ -144,7 +144,7 @@ TEST_F(ServerTest, FourConcurrentPipelinedClients) {
 }
 
 TEST_F(ServerTest, StopIsIdempotentAndUnblocksDestructor) {
-  auto server = std::make_unique<LineServer>(*engine_, 0);
+  auto server = std::make_unique<AsyncServer>(*engine_, 0);
   server->start();
   server->stop();
   server->stop();      // second stop is a no-op
@@ -152,7 +152,7 @@ TEST_F(ServerTest, StopIsIdempotentAndUnblocksDestructor) {
 }
 
 TEST_F(ServerTest, StopWithLiveConnection) {
-  LineServer server(*engine_, 0);
+  AsyncServer server(*engine_, 0);
   server.start();
   // Open a connection and leave it idle; stop() must shut it down rather
   // than wait forever for the client to hang up.
@@ -175,8 +175,8 @@ TEST_F(ServerTest, StopWithLiveConnection) {
 }
 
 TEST_F(ServerTest, EphemeralPortsAreIndependent) {
-  LineServer first(*engine_, 0);
-  LineServer second(*engine_, 0);
+  AsyncServer first(*engine_, 0);
+  AsyncServer second(*engine_, 0);
   EXPECT_NE(first.port(), 0);
   EXPECT_NE(second.port(), 0);
   EXPECT_NE(first.port(), second.port());

@@ -11,7 +11,7 @@
 #                   bench      bench smoke + inference-count tripwire
 #                   snapshot   CLI snapshot + golden queries + CRC tripwire
 #                              + the streamed cold path over several blocks
-#                   async      epoll server smoke over both wire protocols
+#                   serve      query server smoke over both wire protocols
 #                   ingest     streaming-ingest smoke: cold-vs-incremental
 #                              equivalence + kill-mid-journal resume
 #                   remote     MDP1 remote delta transport smoke: `mapit
@@ -49,7 +49,7 @@
 #                 require byte-identical inferences vs an uninterrupted
 #                 run; also checks the deadline checkpoint-and-exit path
 #                 (default: FAULT_MATRIX)
-#   ASYNC_SMOKE   1 = boot `mapit serve --async` on a real snapshot and
+#   SERVE_SMOKE   1 = boot `mapit serve` on a real snapshot and
 #                 replay the canned query batch over both wire protocols
 #                 (line and binary), diffing each response stream against
 #                 the committed golden answers; ends with a SIGTERM
@@ -58,7 +58,7 @@
 #                 one worker mid-replay, and require zero failed golden
 #                 answers plus a recorded automatic restart; ends with a
 #                 SIGTERM cascade that must drain the fleet
-#                 (default: ASYNC_SMOKE)
+#                 (default: SERVE_SMOKE)
 #   INGEST_SMOKE  1 = stream the tail of a seeded corpus through
 #                 `mapit ingest --drain` and require the published snapshot
 #                 to be byte-identical to a cold `mapit snapshot` over the
@@ -94,8 +94,8 @@ BENCH_SMOKE="${BENCH_SMOKE:-1}"
 SNAPSHOT_SMOKE="${SNAPSHOT_SMOKE:-${BENCH_SMOKE}}"
 FAULT_MATRIX="${FAULT_MATRIX:-1}"
 CHECKPOINT_MATRIX="${CHECKPOINT_MATRIX:-${FAULT_MATRIX}}"
-ASYNC_SMOKE="${ASYNC_SMOKE:-${SNAPSHOT_SMOKE}}"
-SUPERVISE_SMOKE="${SUPERVISE_SMOKE:-${ASYNC_SMOKE}}"
+SERVE_SMOKE="${SERVE_SMOKE:-${SNAPSHOT_SMOKE}}"
+SUPERVISE_SMOKE="${SUPERVISE_SMOKE:-${SERVE_SMOKE}}"
 INGEST_SMOKE="${INGEST_SMOKE:-${SNAPSHOT_SMOKE}}"
 REMOTE_INGEST_SMOKE="${REMOTE_INGEST_SMOKE:-${INGEST_SMOKE}}"
 DIFF_SWEEP="${DIFF_SWEEP:-${BENCH_SMOKE}}"
@@ -373,16 +373,16 @@ for key in ("snapshot_crc32", "snapshot_bytes", "standard_inferences"):
 EOF
 }
 
-stage_async() {
-  echo "== async serve smoke =="
-  # Boot the epoll event-loop server through the real binary and replay the
-  # canned query batch over BOTH wire protocols. The line-protocol response
-  # must be byte-identical to the committed golden answers — the same bytes
-  # `mapit query` and the blocking server produce — and the binary-protocol
-  # frame payloads must reassemble to the same file. SIGTERM at the end
-  # must drain gracefully (exit 0), not kill the loop mid-answer.
+stage_serve() {
+  echo "== serve smoke =="
+  # Boot the query server through the real binary and replay the canned
+  # query batch over BOTH wire protocols. The line-protocol response must
+  # be byte-identical to the committed golden answers — the same bytes
+  # `mapit query` produces — and the binary-protocol frame payloads must
+  # reassemble to the same file. SIGTERM at the end must drain gracefully
+  # (exit 0), not kill the loop mid-answer.
   local mapit_bin="${BUILD_DIR}/tools/mapit"
-  local work="${BUILD_DIR}/async_smoke"
+  local work="${BUILD_DIR}/serve_smoke"
   rm -rf "${work}"
   mkdir -p "${work}"
   "${mapit_bin}" simulate --out "${work}" --seed 9
@@ -392,7 +392,7 @@ stage_async() {
     --as2org "${work}/as2org.txt" --ixps "${work}/ixps.txt" \
     --out "${work}/snapshot.bin"
 
-  "${mapit_bin}" serve "${work}/snapshot.bin" --async --reuseport \
+  "${mapit_bin}" serve "${work}/snapshot.bin" --reuseport \
     --backlog 512 2> "${work}/serve.log" &
   local serve_pid=$!
   trap 'kill "${serve_pid}" 2>/dev/null || true; print_stage_table' EXIT
@@ -403,14 +403,14 @@ stage_async() {
       "${work}/serve.log" | head -n 1)"
     [[ -n "${port}" ]] && break
     if ! kill -0 "${serve_pid}" 2>/dev/null; then
-      echo "async server died during startup:" >&2
+      echo "server died during startup:" >&2
       cat "${work}/serve.log" >&2
       exit 1
     fi
     sleep 0.1
   done
   if [[ -z "${port}" ]]; then
-    echo "async server never announced its port" >&2
+    echo "server never announced its port" >&2
     cat "${work}/serve.log" >&2
     exit 1
   fi
@@ -459,13 +459,13 @@ open(out_path, "wb").write(data)
 EOF
     diff -u "${REPO_ROOT}/tests/cli/golden_answers.txt" \
       "${work}/${protocol}_answers.txt"
-    echo "async ${protocol}-protocol golden answers: ok"
+    echo "serve ${protocol}-protocol golden answers: ok"
   done
 
   kill -TERM "${serve_pid}"
   wait "${serve_pid}"
   trap print_stage_table EXIT
-  echo "async SIGTERM graceful drain: ok"
+  echo "serve SIGTERM graceful drain: ok"
 }
 
 stage_ingest() {
@@ -651,7 +651,7 @@ stage_remote() {
 
 stage_supervise() {
   echo "== supervise self-healing smoke =="
-  # Boot a supervised fleet — two `serve --async --reuseport` workers
+  # Boot a supervised fleet — two `serve --reuseport` workers
   # sharing one port — then kill -9 one worker mid-replay. The replay
   # retries transient connection errors (a reset is exactly what a killed
   # worker's in-flight connections see) but treats any WRONG bytes as a
@@ -681,8 +681,8 @@ set restart-cap-ms 1000
 set breaker-restarts 10
 set breaker-window-s 60
 set drain-s 10
-worker web1 ${mapit_bin} serve ${work}/snapshot.bin --async --reuseport --port ${port}
-worker web2 ${mapit_bin} serve ${work}/snapshot.bin --async --reuseport --port ${port}
+worker web1 ${mapit_bin} serve ${work}/snapshot.bin --reuseport --port ${port}
+worker web2 ${mapit_bin} serve ${work}/snapshot.bin --reuseport --port ${port}
 EOF
 
   "${mapit_bin}" supervise "${work}/fleet.spec" 2> "${work}/supervise.log" &
@@ -821,11 +821,11 @@ if [[ -n "${STAGES:-}" ]]; then
   for stage in $(echo "${STAGES}" | tr ',' ' '); do
     case "${stage}" in
       configure|build) ;;  # always run; listed for convenience
-      test|fault|checkpoint|bench|snapshot|async|ingest|remote|supervise|sweep|fuzz)
+      test|fault|checkpoint|bench|snapshot|serve|ingest|remote|supervise|sweep|fuzz)
         SELECTED+=("${stage}") ;;
       *)
         echo "ci.sh: unknown stage '${stage}' (valid: test fault checkpoint" \
-             "bench snapshot async ingest remote supervise sweep fuzz)" >&2
+             "bench snapshot serve ingest remote supervise sweep fuzz)" >&2
         exit 2 ;;
     esac
   done
@@ -835,7 +835,7 @@ else
   if [[ "${CHECKPOINT_MATRIX}" == "1" ]]; then SELECTED+=(checkpoint); fi
   if [[ "${BENCH_SMOKE}" == "1" ]]; then SELECTED+=(bench); fi
   if [[ "${SNAPSHOT_SMOKE}" == "1" ]]; then SELECTED+=(snapshot); fi
-  if [[ "${ASYNC_SMOKE}" == "1" ]]; then SELECTED+=(async); fi
+  if [[ "${SERVE_SMOKE}" == "1" ]]; then SELECTED+=(serve); fi
   if [[ "${SUPERVISE_SMOKE}" == "1" ]]; then SELECTED+=(supervise); fi
   if [[ "${INGEST_SMOKE}" == "1" ]]; then SELECTED+=(ingest); fi
   if [[ "${REMOTE_INGEST_SMOKE}" == "1" ]]; then SELECTED+=(remote); fi

@@ -34,6 +34,7 @@
 #include "core/as_path.h"
 #include "core/explain.h"
 #include "core/result_io.h"
+#include "core/run_inputs.h"
 #include "core/supervisor.h"
 #include "eval/diff_sweep.h"
 #include "eval/experiment.h"
@@ -44,9 +45,9 @@
 #include "net/error.h"
 #include "net/load_report.h"
 #include "net/parse.h"
-#include "query/query_engine.h"
 #include "query/async_server.h"
 #include "query/hub.h"
+#include "query/query_engine.h"
 #include "query/server.h"
 #include "store/reader.h"
 #include "store/writer.h"
@@ -135,20 +136,15 @@ constexpr int kExitTransportGaveUp = 8;  ///< send: reconnect attempts
       "        lookup <addr> <f|b> | addr <addr> | ip2as <addr> [f|b]\n"
       "        | links <asn> <asn> | stats\n"
       "  mapit serve SNAPSHOT [--port N] [server options]\n"
-      "      TCP server for the same line protocol on 127.0.0.1:N\n"
-      "      (default: an ephemeral port, printed on stderr)\n"
-      "      --async                epoll event-loop server instead of the\n"
-      "                             thread-per-connection one; also speaks\n"
-      "                             the length-prefixed binary protocol\n"
-      "                             (connections starting with \"MQB1\")\n"
+      "      epoll TCP server for the same line protocol on 127.0.0.1:N\n"
+      "      (default: an ephemeral port, printed on stderr); connections\n"
+      "      starting with \"MQB1\" speak the length-prefixed binary\n"
+      "      protocol instead\n"
       "      --reuseport            SO_REUSEPORT: run N processes on one\n"
       "                             port, kernel load-balances connections\n"
       "      --backlog N            listen(2) backlog (default: SOMAXCONN)\n"
       "      --idle-timeout SECS    close connections idle this long\n"
       "                             (default 300, 0 = never)\n"
-      "      --send-timeout SECS    drop a connection whose blocked send\n"
-      "                             stalls this long (blocking server only;\n"
-      "                             default: --idle-timeout)\n"
       "      --max-connections N    refuse clients past N live connections\n"
       "                             with an ERR line (default 256)\n"
       "      --max-line BYTES       answer ERR to longer request lines\n"
@@ -179,9 +175,6 @@ constexpr int kExitTransportGaveUp = 8;  ///< send: reconnect attempts
       "                             fingerprint); requires --secret-file;\n"
       "                             non-MDP1 bytes are refused with one ERR\n"
       "                             line and a clean close\n"
-      "      --listen-plain PORT    legacy loopback listener: raw newline-\n"
-      "                             delimited delta lines, no auth, no\n"
-      "                             delivery guarantees across disconnects\n"
       "      --secret-file FILE     shared HMAC secret for --listen\n"
       "                             (trailing newline stripped)\n"
       "      --heartbeat SECS       MDP1 idle heartbeat cadence (default 2;\n"
@@ -455,44 +448,37 @@ struct CheckpointSetup {
   core::CheckpointMeta meta;     ///< this invocation's identity
 };
 
-/// Everything the `run`-shaped subcommands (run, snapshot) share: datasets
-/// loaded, traces sanitized, interface graph and IP2AS composite built.
-/// Later members reference earlier ones (ip2as points at ixps), so the
-/// struct is heap-held and immovable once built.
-struct RunPipeline {
-  core::Options options;
-  std::optional<CheckpointSetup> checkpoint;
-  core::SupervisorOptions supervisor;
-  bgp::Rib rib;
-  asdata::AsRelationships rels;
-  asdata::As2Org orgs;
-  asdata::IxpRegistry ixps;
-  std::unique_ptr<graph::InterfaceGraph> graph;
-  std::unique_ptr<bgp::Ip2As> ip2as;
-
-  [[nodiscard]] core::Result run() const {
-    return core::run_mapit(*graph, *ip2as, orgs, rels, options);
-  }
-};
-
-/// Parses the shared run options out of `args` and builds the pipeline.
-/// The caller must have claimed its subcommand-specific flags already:
-/// this calls reject_unknown() before doing any heavy work.
-std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
+/// The base-input flags shared by run/snapshot/paths: --traces and --rib
+/// (required) plus the optional datasets, absent ones left empty.
+core::InputPaths parse_input_paths(Args& args, const char* verb) {
   const auto traces_path = args.value("--traces");
   const auto rib_path = args.value("--rib");
   if (!traces_path || !rib_path) {
     std::cerr << verb << ": --traces and --rib are required\n";
     usage(kExitUsage);
   }
+  return {*traces_path, *rib_path, args.value("--relationships").value_or(""),
+          args.value("--as2org").value_or(""),
+          args.value("--ixps").value_or("")};
+}
 
-  auto pipeline = std::make_unique<RunPipeline>();
-  core::Options& options = pipeline->options;
-  options = parse_engine_options(args);
+/// Everything the `run`-shaped subcommands (run, snapshot) share: engine
+/// options, checkpointing and supervision, and the loaded base inputs.
+struct RunPipeline {
+  core::Options options;
+  std::optional<CheckpointSetup> checkpoint;
+  core::SupervisorOptions supervisor;
+  std::unique_ptr<core::RunInputs> inputs;
+};
+
+/// Parses the shared run options out of `args` and builds the pipeline.
+/// The caller must have claimed its subcommand-specific flags already:
+/// this calls reject_unknown() before doing any heavy work.
+RunPipeline build_run_pipeline(Args& args, const char* verb) {
+  const core::InputPaths paths = parse_input_paths(args, verb);
+  RunPipeline pipeline;
+  pipeline.options = parse_engine_options(args);
   const bool lenient = args.flag("--lenient");
-  const auto relationships_path = args.value("--relationships");
-  const auto as2org_path = args.value("--as2org");
-  const auto ixps_path = args.value("--ixps");
 
   const auto checkpoint_dir = args.value("--checkpoint-dir");
   const auto resume_dir = args.value("--resume");
@@ -510,14 +496,14 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
       setup.interval_seconds =
           parse_seconds_or_die("--checkpoint-interval", *value);
     }
-    pipeline->checkpoint = std::move(setup);
+    pipeline.checkpoint = std::move(setup);
   } else if (args.value("--checkpoint-interval")) {
     std::cerr << verb << ": --checkpoint-interval requires --checkpoint-dir "
                          "or --resume\n";
     usage(kExitUsage);
   }
   if (const auto value = args.value("--deadline")) {
-    pipeline->supervisor.deadline_seconds =
+    pipeline.supervisor.deadline_seconds =
         parse_seconds_or_die("--deadline", *value);
   }
   if (const auto value = args.value("--memory-budget")) {
@@ -527,7 +513,7 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
                 << "'\n";
       std::exit(kExitUsage);
     }
-    pipeline->supervisor.memory_budget_mb = *parsed;
+    pipeline.supervisor.memory_budget_mb = *parsed;
   }
   if (const auto value = args.value("--stop-after")) {
     const auto parsed = parse_bounded(*value, 1UL << 20);
@@ -536,12 +522,12 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
                    "got '" << *value << "'\n";
       std::exit(kExitUsage);
     }
-    pipeline->supervisor.boundary_limit = static_cast<int>(*parsed);
+    pipeline.supervisor.boundary_limit = static_cast<int>(*parsed);
   }
-  if (!pipeline->checkpoint &&
-      (pipeline->supervisor.deadline_seconds > 0 ||
-       pipeline->supervisor.memory_budget_mb > 0 ||
-       pipeline->supervisor.boundary_limit > 0)) {
+  if (!pipeline.checkpoint &&
+      (pipeline.supervisor.deadline_seconds > 0 ||
+       pipeline.supervisor.memory_budget_mb > 0 ||
+       pipeline.supervisor.boundary_limit > 0)) {
     std::cerr << verb << ": --deadline/--memory-budget/--stop-after perform "
                          "a graceful checkpoint-and-exit and therefore "
                          "require --checkpoint-dir (or --resume)\n";
@@ -549,62 +535,24 @@ std::unique_ptr<RunPipeline> build_run_pipeline(Args& args, const char* verb) {
   }
   args.reject_unknown();
 
-  LoadReport trace_report;
-  LoadReport rib_report;
-  auto traces_stream = open_or_die(*traces_path);
-  graph::LoadedGraph loaded = graph::read_graph(
-      traces_stream, options.threads, lenient ? &trace_report : nullptr);
-  auto rib_stream = open_or_die(*rib_path);
-  pipeline->rib = bgp::Rib::read(rib_stream, lenient ? &rib_report : nullptr);
-  if (lenient) {
-    report_quarantine("traces", trace_report);
-    report_quarantine("rib", rib_report);
-  }
-
-  if (relationships_path) {
-    auto stream = open_or_die(*relationships_path);
-    pipeline->rels = asdata::AsRelationships::read(stream);
-  }
-  if (as2org_path) {
-    auto stream = open_or_die(*as2org_path);
-    pipeline->orgs = asdata::As2Org::read(stream);
-  }
-  if (ixps_path) {
-    auto stream = open_or_die(*ixps_path);
-    pipeline->ixps = asdata::IxpRegistry::read(stream);
-  }
-
-  if (pipeline->checkpoint) {
+  pipeline.inputs =
+      core::RunInputs::load(paths, pipeline.options.threads, lenient);
+  const core::RunInputs& inputs = *pipeline.inputs;
+  report_quarantine("traces", inputs.trace_report);
+  report_quarantine("rib", inputs.rib_report);
+  if (pipeline.checkpoint) {
     // Identity of this invocation: any change to the engine options or to
-    // the raw input bytes between checkpoint and resume must be caught, so
-    // fingerprint the files themselves (cheap next to the run).
-    CheckpointSetup& setup = *pipeline->checkpoint;
-    setup.meta.config_hash = core::config_hash(options);
-    setup.meta.corpus_fingerprint = core::fingerprint_file(*traces_path);
-    setup.meta.rib_fingerprint = core::fingerprint_file(*rib_path);
-    std::uint64_t datasets = core::kFingerprintSeed;
-    for (const auto& optional_path :
-         {relationships_path, as2org_path, ixps_path}) {
-      // Presence markers keep "no file" distinct from "empty file" and from
-      // the same bytes arriving under a different dataset slot.
-      datasets = core::fingerprint_bytes(datasets, optional_path ? "+" : "-");
-      if (optional_path) {
-        datasets = core::fingerprint_file(*optional_path, datasets);
-      }
-    }
-    setup.meta.datasets_fingerprint = datasets;
+    // the raw input bytes between checkpoint and resume must be caught.
+    // Fingerprinting reads every input again, so only checkpointed runs
+    // pay for it.
+    pipeline.checkpoint->meta = core::input_meta(paths, pipeline.options);
   }
 
-  const trace::SanitizeStats& stats = loaded.stats;
+  const trace::SanitizeStats& stats = inputs.corpus.stats;
   std::cerr << "sanitized " << stats.input_traces << " traces ("
             << stats.discarded_traces << " discarded, "
             << stats.removed_ttl0_hops << " TTL=0 hops removed)\n";
-
-  pipeline->graph =
-      std::make_unique<graph::InterfaceGraph>(std::move(loaded.graph));
-  pipeline->ip2as = std::make_unique<bgp::Ip2As>(
-      pipeline->rib, net::PrefixTrie<asdata::Asn>{}, &pipeline->ixps);
-  std::cerr << "interface graph: " << pipeline->graph->size()
+  std::cerr << "interface graph: " << inputs.corpus.graph.size()
             << " interfaces\n";
   return pipeline;
 }
@@ -623,16 +571,17 @@ struct EngineRunResult {
 /// continues, and completion deletes the now-stale checkpoint file.
 EngineRunResult run_engine(const RunPipeline& pipeline) {
   EngineRunResult out;
+  const core::RunInputs& inputs = *pipeline.inputs;
   if (!pipeline.checkpoint) {
-    out.result = pipeline.run();
+    out.result = inputs.run(pipeline.options);
     return out;
   }
   const CheckpointSetup& setup = *pipeline.checkpoint;
   const std::string path = core::checkpoint_path(setup.dir);
   std::filesystem::create_directories(setup.dir);
 
-  core::Engine engine(*pipeline.graph, *pipeline.ip2as, pipeline.orgs,
-                      pipeline.rels, pipeline.options);
+  core::Engine engine(inputs.corpus.graph, inputs.ip2as, inputs.orgs,
+                      inputs.rels, pipeline.options);
   core::SignalGuard signals;
   core::RunSupervisor supervisor(pipeline.supervisor, &signals);
 
@@ -698,9 +647,9 @@ int cmd_run(Args& args) {
   const auto output_path = args.value("--output");
   const auto uncertain_path = args.value("--uncertain");
   const auto explain_address = args.value("--explain");
-  const auto pipeline = build_run_pipeline(args, "run");
+  const RunPipeline pipeline = build_run_pipeline(args, "run");
 
-  EngineRunResult run = run_engine(*pipeline);
+  EngineRunResult run = run_engine(pipeline);
   if (!run.result) return kExitInterrupted;
   const core::Result result = std::move(*run.result);
   std::cerr << "MAP-IT: " << result.inferences.size()
@@ -720,7 +669,7 @@ int cmd_run(Args& args) {
   }
   if (explain_address) {
     std::cerr << core::explain(
-        result, *pipeline->graph, *pipeline->ip2as,
+        result, pipeline.inputs->corpus.graph, pipeline.inputs->ip2as,
         net::Ipv4Address::parse_or_throw(*explain_address));
   }
   return kExitOk;
@@ -732,13 +681,13 @@ int cmd_snapshot(Args& args) {
     std::cerr << "snapshot: --out is required\n";
     usage(kExitUsage);
   }
-  const auto pipeline = build_run_pipeline(args, "snapshot");
+  const RunPipeline pipeline = build_run_pipeline(args, "snapshot");
 
-  EngineRunResult run = run_engine(*pipeline);
+  EngineRunResult run = run_engine(pipeline);
   if (!run.result) return kExitInterrupted;
   const core::Result result = std::move(*run.result);
-  const store::SnapshotData data =
-      store::make_snapshot_data(result, *pipeline->graph, *pipeline->ip2as);
+  const store::SnapshotData data = store::make_snapshot_data(
+      result, pipeline.inputs->corpus.graph, pipeline.inputs->ip2as);
   const store::WriteInfo info = store::write_snapshot_file(data, *out_path);
 
   char crc_hex[9];
@@ -825,15 +774,6 @@ int cmd_serve(Args& args) {
     }
     server_options.max_line_bytes = *parsed;
   }
-  if (const auto value = args.value("--send-timeout")) {
-    const auto parsed = parse_bounded(*value, 86400);
-    if (!parsed) {
-      std::cerr << "--send-timeout expects seconds in [0, 86400], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    server_options.send_timeout = std::chrono::seconds(*parsed);
-  }
   if (const auto value = args.value("--backlog")) {
     const auto parsed = parse_bounded(*value, 65536);
     if (!parsed || *parsed == 0) {
@@ -853,7 +793,6 @@ int cmd_serve(Args& args) {
     server_options.max_inflight_bytes = *parsed;
   }
   server_options.reuse_port = args.flag("--reuseport");
-  const bool use_async = args.flag("--async");
   unsigned long watch_interval = 2;
   if (const auto value = args.value("--watch-interval")) {
     const auto parsed = parse_bounded(*value, 86400);
@@ -867,88 +806,79 @@ int cmd_serve(Args& args) {
   args.reject_unknown();
 
   query::SnapshotHub hub(*snapshot_path);
-  // Both servers expose the same surface; run whichever under the same
-  // signal-drain scaffolding.
-  const auto run = [&](auto& server) {
-    {
-      const auto snapshot = hub.current();
-      std::cerr << "serving " << *snapshot_path << " on 127.0.0.1:"
-                << server.port() << (use_async ? " (async)" : "") << " ("
-                << snapshot->reader.inferences().size()
-                << " inference records, " << snapshot->reader.size_bytes()
-                << " bytes mmap'd)\n";
-    }
+  query::AsyncServer server(hub, server_options);
+  {
+    const auto snapshot = hub.current();
+    std::cerr << "serving " << *snapshot_path << " on 127.0.0.1:"
+              << server.port() << " ("
+              << snapshot->reader.inferences().size()
+              << " inference records, " << snapshot->reader.size_bytes()
+              << " bytes mmap'd)\n";
+  }
 
-    // The watcher polls the snapshot path and hot-swaps new versions in;
-    // running queries keep their pinned generation, new batches see the
-    // fresh one. A snapshot that fails to validate keeps the old one.
-    std::atomic<bool> watch_stop{false};
-    std::thread watcher;
-    if (watch_interval > 0) {
-      watcher = std::thread([&] {
-        while (!watch_stop.load()) {
-          for (unsigned long slept = 0;
-               slept < watch_interval * 10 && !watch_stop.load(); ++slept) {
-            std::this_thread::sleep_for(std::chrono::milliseconds{100});
-          }
-          if (watch_stop.load()) break;
-          if (hub.refresh()) {
-            std::cerr << "snapshot replaced; now serving generation "
-                      << hub.current()->generation << "\n";
-          }
+  // The watcher polls the snapshot path and hot-swaps new versions in;
+  // running queries keep their pinned generation, new batches see the
+  // fresh one. A snapshot that fails to validate keeps the old one.
+  std::atomic<bool> watch_stop{false};
+  std::thread watcher;
+  if (watch_interval > 0) {
+    watcher = std::thread([&] {
+      while (!watch_stop.load()) {
+        for (unsigned long slept = 0;
+             slept < watch_interval * 10 && !watch_stop.load(); ++slept) {
+          std::this_thread::sleep_for(std::chrono::milliseconds{100});
         }
-      });
-    }
-
-    // SIGTERM/SIGINT drain the server gracefully (in-flight batches are
-    // answered, then connections close) instead of killing it mid-send.
-    // SIGHUP forces an immediate snapshot re-check (the operator just
-    // republished and does not want to wait out --watch-interval). The
-    // drain thread blocks on the signal guard's self-pipe; when
-    // serve_forever() returns for any other reason, `done` + wake() send
-    // it home — `done` first, because a SIGHUP can consume the wake byte.
-    core::SignalGuard signals;
-    std::atomic<bool> done{false};
-    std::thread drain([&] {
-      std::uint64_t seen_hups = 0;
-      while (true) {
-        const int signal_number = signals.wait();
-        if (signal_number != 0) {
-          std::cerr << "received "
-                    << (signal_number == SIGTERM ? "SIGTERM" : "SIGINT")
-                    << ", draining connections...\n";
-          server.stop();
-          return;
-        }
-        if (done.load()) return;
-        const std::uint64_t hups = core::SignalGuard::hup_count();
-        if (hups != seen_hups) {
-          seen_hups = hups;
-          std::cerr << "received SIGHUP, re-checking snapshot...\n";
-          if (hub.refresh()) {
-            std::cerr << "snapshot replaced; now serving generation "
-                      << hub.current()->generation << "\n";
-          }
+        if (watch_stop.load()) break;
+        if (hub.refresh()) {
+          std::cerr << "snapshot replaced; now serving generation "
+                    << hub.current()->generation << "\n";
         }
       }
     });
-    server.serve_forever();
-    done.store(true);
-    signals.wake();
-    drain.join();
-    watch_stop.store(true);
-    if (watcher.joinable()) watcher.join();
-    if (core::SignalGuard::signal_received() != 0) {
-      std::cerr << "drained; exiting\n";
-    }
-    return kExitOk;
-  };
-  if (use_async) {
-    query::AsyncServer server(hub, server_options);
-    return run(server);
   }
-  query::LineServer server(hub, server_options);
-  return run(server);
+
+  // SIGTERM/SIGINT drain the server gracefully (in-flight batches are
+  // answered, then connections close) instead of killing it mid-send.
+  // SIGHUP forces an immediate snapshot re-check (the operator just
+  // republished and does not want to wait out --watch-interval). The
+  // drain thread blocks on the signal guard's self-pipe; when
+  // serve_forever() returns for any other reason, `done` + wake() send
+  // it home — `done` first, because a SIGHUP can consume the wake byte.
+  core::SignalGuard signals;
+  std::atomic<bool> done{false};
+  std::thread drain([&] {
+    std::uint64_t seen_hups = 0;
+    while (true) {
+      const int signal_number = signals.wait();
+      if (signal_number != 0) {
+        std::cerr << "received "
+                  << (signal_number == SIGTERM ? "SIGTERM" : "SIGINT")
+                  << ", draining connections...\n";
+        server.stop();
+        return;
+      }
+      if (done.load()) return;
+      const std::uint64_t hups = core::SignalGuard::hup_count();
+      if (hups != seen_hups) {
+        seen_hups = hups;
+        std::cerr << "received SIGHUP, re-checking snapshot...\n";
+        if (hub.refresh()) {
+          std::cerr << "snapshot replaced; now serving generation "
+                    << hub.current()->generation << "\n";
+        }
+      }
+    }
+  });
+  server.serve_forever();
+  done.store(true);
+  signals.wake();
+  drain.join();
+  watch_stop.store(true);
+  if (watcher.joinable()) watcher.join();
+  if (core::SignalGuard::signal_received() != 0) {
+    std::cerr << "drained; exiting\n";
+  }
+  return kExitOk;
 }
 
 int cmd_ingest(Args& args) {
@@ -982,15 +912,6 @@ int cmd_ingest(Args& args) {
       return kExitUsage;
     }
     options.listen_port = static_cast<int>(*parsed);
-  }
-  if (const auto value = args.value("--listen-plain")) {
-    const auto parsed = parse_bounded(*value, 65535);
-    if (!parsed) {
-      std::cerr << "--listen-plain expects a port in [0, 65535], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.listen_plain_port = static_cast<int>(*parsed);
   }
   if (const auto value = args.value("--secret-file")) {
     options.secret = read_secret_or_die(*value);
@@ -1061,14 +982,15 @@ int cmd_ingest(Args& args) {
   args.reject_unknown();
   if (options.listen_port >= 0 && options.secret.empty()) {
     std::cerr << "ingest: --listen speaks the authenticated MDP1 transport "
-                 "and requires --secret-file; use --listen-plain for the "
-                 "legacy loopback line protocol\n";
+                 "and requires --secret-file; senders connect with `mapit "
+                 "send`\n";
     usage(kExitUsage);
   }
   if (options.follow_path.empty() && options.listen_port < 0 &&
-      options.listen_plain_port < 0 && !options.drain) {
-    std::cerr << "ingest: need --follow, --listen and/or --listen-plain "
-                 "(or --drain to just replay the journal and republish)\n";
+      !options.drain) {
+    std::cerr << "ingest: need --follow and/or --listen (remote senders use "
+                 "`mapit send`), or --drain to just replay the journal and "
+                 "republish\n";
     usage(kExitUsage);
   }
   options.log = &std::cerr;
@@ -1334,12 +1256,7 @@ int cmd_supervise(Args& args) {
 }
 
 int cmd_paths(Args& args) {
-  const auto traces_path = args.value("--traces");
-  const auto rib_path = args.value("--rib");
-  if (!traces_path || !rib_path) {
-    std::cerr << "paths: --traces and --rib are required\n";
-    usage(kExitUsage);
-  }
+  const core::InputPaths paths = parse_input_paths(args, "paths");
   std::size_t limit = 20;
   if (const auto l = args.value("--limit")) {
     const auto parsed = net::parse_uint<std::size_t>(*l);
@@ -1350,47 +1267,15 @@ int cmd_paths(Args& args) {
     }
     limit = *parsed;
   }
-  const unsigned threads = parse_threads(args);
+  const core::Options options = parse_engine_options(args);
   const bool lenient = args.flag("--lenient");
-  const auto relationships_path = args.value("--relationships");
-  const auto as2org_path = args.value("--as2org");
-  const auto ixps_path = args.value("--ixps");
   args.reject_unknown();
 
-  LoadReport trace_report;
-  LoadReport rib_report;
-  auto traces_stream = open_or_die(*traces_path);
-  const graph::LoadedGraph loaded = graph::read_graph(
-      traces_stream, threads, lenient ? &trace_report : nullptr);
-  auto rib_stream = open_or_die(*rib_path);
-  const bgp::Rib rib =
-      bgp::Rib::read(rib_stream, lenient ? &rib_report : nullptr);
-  if (lenient) {
-    report_quarantine("traces", trace_report);
-    report_quarantine("rib", rib_report);
-  }
-  asdata::AsRelationships rels;
-  if (relationships_path) {
-    auto stream = open_or_die(*relationships_path);
-    rels = asdata::AsRelationships::read(stream);
-  }
-  asdata::As2Org orgs;
-  if (as2org_path) {
-    auto stream = open_or_die(*as2org_path);
-    orgs = asdata::As2Org::read(stream);
-  }
-  asdata::IxpRegistry ixps;
-  if (ixps_path) {
-    auto stream = open_or_die(*ixps_path);
-    ixps = asdata::IxpRegistry::read(stream);
-  }
-
-  const bgp::Ip2As ip2as(rib, net::PrefixTrie<asdata::Asn>{}, &ixps);
-  core::Options paths_options;
-  paths_options.threads = threads;
-  const core::Result result =
-      core::run_mapit(loaded.graph, ip2as, orgs, rels, paths_options);
-  const core::PathAnnotator annotator(result, ip2as);
+  const auto inputs = core::RunInputs::load(paths, options.threads, lenient);
+  report_quarantine("traces", inputs->trace_report);
+  report_quarantine("rib", inputs->rib_report);
+  const core::Result result = inputs->run(options);
+  const core::PathAnnotator annotator(result, inputs->ip2as);
 
   auto print_path = [](const char* label,
                        const std::vector<asdata::Asn>& path) {
@@ -1400,7 +1285,7 @@ int cmd_paths(Args& args) {
   };
   // The load keeps no traces, so a second, sequential pass over the file
   // sanitizes them again, in file order, for the annotation.
-  auto again = open_or_die(*traces_path);
+  auto again = open_or_die(paths.traces);
   LoadReport reported;  // the first pass already reported the quarantine
   trace::SanitizeTally tally;
   std::size_t shown = 0;
@@ -1417,9 +1302,9 @@ int cmd_paths(Args& args) {
         print_path("mapit ", annotated.as_path);
       });
   if (shown == 0) {
+    const trace::SanitizeStats& stats = inputs->corpus.stats;
     std::cout << "no traces with corrected AS paths in the first "
-              << loaded.stats.input_traces - loaded.stats.discarded_traces
-              << "\n";
+              << stats.input_traces - stats.discarded_traces << "\n";
   }
   return 0;
 }
