@@ -3,13 +3,17 @@
 // ERR-and-discard, MQB1 binary framing with oversized-frame ERR-and-skip),
 // driven against a real QueryEngine over a small in-memory snapshot.
 //
-// Two properties are checked on every input:
+// Three properties are checked on every input:
 //   1. No escape: arbitrary bytes never raise past the session (the servers
 //      have no try/catch around feed(), so an exception here is a
 //      connection-killing bug in production).
 //   2. Chunking invariance: delivering the same bytes one byte at a time
 //      must produce exactly the answer stream of a single delivery — TCP
 //      segmentation must never change what a client reads back.
+//   3. Append contract: answers are appended in place to the caller's
+//      buffer, which on a server already holds earlier answers; a buffer
+//      that starts with other bytes must end up as those bytes followed by
+//      exactly the single-delivery answer stream.
 //
 // max_line_bytes is deliberately tiny (64) so the fuzzer reaches the
 // oversized-line and oversized-frame paths with short inputs.
@@ -51,11 +55,14 @@ const mapit::query::QueryEngine& shared_engine() {
   return *engine;
 }
 
-std::string run_session(std::string_view bytes, std::size_t chunk) {
+/// Feeds `bytes` in `chunk`-sized pieces to a fresh session whose output
+/// buffer starts as `prefix`.
+std::string run_session(std::string_view bytes, std::size_t chunk,
+                        std::string_view prefix = {}) {
   mapit::query::ProtocolSession session(
       shared_engine(), kMaxLineBytes,
-      [] { return std::string("mapit up 1s conns 0"); });
-  std::string out;
+      [](std::string& out) { out += "mapit up 1s conns 0"; });
+  std::string out(prefix);
   for (std::size_t i = 0; i < bytes.size(); i += chunk) {
     session.feed(bytes.substr(i, chunk), out);
   }
@@ -70,5 +77,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   const std::string whole = run_session(bytes, bytes.size() + 1);
   const std::string bytewise = run_session(bytes, 1);
   if (whole != bytewise) std::abort();  // chunking changed the answers
+  constexpr std::string_view kPrefix = "earlier answers\n";
+  const std::string prefixed =
+      run_session(bytes, bytes.size() + 1, kPrefix);
+  if (prefixed.size() != kPrefix.size() + whole.size() ||
+      !prefixed.starts_with(kPrefix) || !prefixed.ends_with(whole)) {
+    std::abort();  // an answer read or altered bytes it did not write
+  }
   return 0;
 }

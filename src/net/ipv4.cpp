@@ -41,14 +41,20 @@ Ipv4Address Ipv4Address::parse_or_throw(std::string_view text) {
   return *parsed;
 }
 
-std::string Ipv4Address::to_string() const {
-  std::string out;
-  out.reserve(15);
+char* Ipv4Address::to_chars(char* out) const {
   for (int i = 0; i < 4; ++i) {
-    if (i > 0) out.push_back('.');
-    out += std::to_string(octet(i));
+    if (i > 0) *out++ = '.';
+    const unsigned value = octet(i);
+    if (value >= 100) *out++ = static_cast<char>('0' + value / 100);
+    if (value >= 10) *out++ = static_cast<char>('0' + value / 10 % 10);
+    *out++ = static_cast<char>('0' + value % 10);
   }
   return out;
+}
+
+std::string Ipv4Address::to_string() const {
+  char text[kMaxTextBytes];
+  return std::string(text, to_chars(text));
 }
 
 std::ostream& operator<<(std::ostream& os, Ipv4Address addr) {

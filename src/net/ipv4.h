@@ -6,6 +6,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -44,6 +45,13 @@ class Ipv4Address {
 
   /// Like parse() but throws mapit::ParseError with context on failure.
   [[nodiscard]] static Ipv4Address parse_or_throw(std::string_view text);
+
+  /// Longest dotted quad ("255.255.255.255").
+  static constexpr std::size_t kMaxTextBytes = 15;
+
+  /// Writes the dotted quad (7 to kMaxTextBytes bytes, each octet as
+  /// std::to_string prints it) at `out` and returns the end of the text.
+  [[nodiscard]] char* to_chars(char* out) const;
 
   /// Dotted-quad representation.
   [[nodiscard]] std::string to_string() const;

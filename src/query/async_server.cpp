@@ -178,7 +178,7 @@ bool AsyncServer::flush(Connection& connection) {
   return true;
 }
 
-std::string AsyncServer::health_line() const {
+void AsyncServer::health_line(std::string& out) const {
   // Loop thread only: `feeding_` is set for exactly the feed that can call
   // this (HEALTH is answered synchronously inside session.feed), so the
   // probe reports the generation answering the rest of its batch.
@@ -186,11 +186,11 @@ std::string AsyncServer::health_line() const {
       feeding_ != nullptr ? feeding_->engine : *engine_;
   const std::uint64_t generation =
       feeding_ != nullptr ? feeding_->generation : 1;
-  return format_health(engine, generation,
-                       hub_ != nullptr ? hub_->swap_count() : 0, started_,
-                       connections_.size(), refused_connections(),
-                       accept_retries(), shed_connections(),
-                       hub_ != nullptr ? hub_->last_error() : std::string());
+  format_health(out, engine, generation,
+                hub_ != nullptr ? hub_->swap_count() : 0, started_,
+                connections_.size(), refused_connections(), accept_retries(),
+                shed_connections(),
+                hub_ != nullptr ? hub_->last_error() : std::string());
 }
 
 void AsyncServer::shed_connection(Connection& connection) {
@@ -335,7 +335,7 @@ void AsyncServer::accept_ready(std::chrono::steady_clock::time_point now) {
         hub_ != nullptr ? hub_->current()->engine : *engine_;
     auto connection = std::make_unique<Connection>(ProtocolSession(
         setup_engine, options_.max_line_bytes,
-        [this] { return health_line(); }));
+        [this](std::string& out) { health_line(out); }));
     connection->fd = fd;
     connection->last_activity = now;
     connection->armed = EPOLLIN;

@@ -31,11 +31,11 @@
 //   reading ──(write buffer > max_write_buffer)──▶ paused
 //   paused ──(write buffer < half)──▶ reading
 //   reading/paused ──(EOF from peer)──▶ flushing ──(drained)──▶ closed
-// Input is parsed as it arrives; every complete request appends its answer
-// to the connection's write buffer, which is flushed opportunistically and
-// re-armed on EPOLLOUT when the socket would block. Write backpressure
-// pauses *reading* (EPOLLIN off), so a slow reader throttles itself
-// instead of growing server state.
+// Input is parsed as it arrives; every complete request appends its answer,
+// formatted in place, to the connection's write buffer, which is flushed
+// opportunistically and re-armed on EPOLLOUT when the socket would block.
+// Write backpressure pauses *reading* (EPOLLIN off), so a slow reader
+// throttles itself instead of growing server state.
 //
 // Overload and failure behavior (DESIGN.md §9): past `max_connections` a
 // client gets the one-line capacity refusal and a close; an oversized
@@ -149,8 +149,9 @@ class AsyncServer {
   /// Listener + epoll + wake-pipe setup shared by both constructors.
   void init_sockets();
   void event_loop();
-  /// HEALTH answer for the batch being fed right now (loop thread only).
-  [[nodiscard]] std::string health_line() const;
+  /// Appends the HEALTH answer for the batch being fed right now to `out`
+  /// (loop thread only).
+  void health_line(std::string& out) const;
   /// Accepts until the listener would block; transient failures disarm the
   /// listener and set `accept_rearm_at_` instead of sleeping.
   void accept_ready(std::chrono::steady_clock::time_point now);

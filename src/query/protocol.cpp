@@ -16,18 +16,39 @@ std::uint32_t read_le32(const char* bytes) {
              << 24;
 }
 
+/// Appends a frame header whose payload length close_frame fills in, and
+/// returns its offset in `out`.
+std::size_t open_frame(std::string& out) {
+  const std::size_t header = out.size();
+  out.append(4, '\0');
+  return header;
+}
+
+/// Patches the little-endian payload length (everything appended after the
+/// 4-byte header) into the header open_frame left at `header`.
+void close_frame(std::string& out, std::size_t header) {
+  const auto length = static_cast<std::uint32_t>(out.size() - header - 4);
+  char* bytes = out.data() + header;
+  bytes[0] = static_cast<char>(length & 0xFF);
+  bytes[1] = static_cast<char>((length >> 8) & 0xFF);
+  bytes[2] = static_cast<char>((length >> 16) & 0xFF);
+  bytes[3] = static_cast<char>((length >> 24) & 0xFF);
+}
+
+/// "ERR request <what> exceeds <bound> bytes".
+void append_oversized(std::string& out, std::string_view what,
+                      std::size_t bound) {
+  out.append("ERR request ").append(what).append(" exceeds ");
+  append_decimal(out, bound);
+  out.append(" bytes");
+}
+
 }  // namespace
 
 void append_binary_frame(std::string& out, std::string_view payload) {
-  const auto length = static_cast<std::uint32_t>(payload.size());
-  const char header[4] = {
-      static_cast<char>(length & 0xFF),
-      static_cast<char>((length >> 8) & 0xFF),
-      static_cast<char>((length >> 16) & 0xFF),
-      static_cast<char>((length >> 24) & 0xFF),
-  };
-  out.append(header, sizeof(header));
+  const std::size_t header = open_frame(out);
   out.append(payload);
+  close_frame(out, header);
 }
 
 ProtocolSession::ProtocolSession(const QueryEngine& engine,
@@ -36,10 +57,15 @@ ProtocolSession::ProtocolSession(const QueryEngine& engine,
       max_line_bytes_(max_line_bytes),
       health_(std::move(health)) {}
 
-std::string ProtocolSession::answer_health() {
+void ProtocolSession::append_answer(std::string& out,
+                                    std::string_view query) const {
   // Without a server behind it there is no health to report; the engine's
   // ERR answer keeps the one-answer-per-request invariant.
-  return health_ ? health_() : engine_->answer("HEALTH");
+  if (query == "HEALTH" && health_) {
+    health_(out);
+  } else {
+    engine_->append_answer(out, query);
+  }
 }
 
 void ProtocolSession::feed(std::string_view bytes, std::string& out) {
@@ -94,22 +120,23 @@ void ProtocolSession::process_line(std::string& out) {
     start = newline + 1;
     if (line.empty()) continue;  // blank keep-alive lines get no answer
     if (line.size() > max_line_bytes_) {
-      out += "ERR request line exceeds " + std::to_string(max_line_bytes_) +
-             " bytes";
-    } else if (line == "HEALTH") {
-      out += answer_health();
+      append_oversized(out, "line", max_line_bytes_);
     } else {
-      out += engine_->answer(line);
+      append_answer(out, line);
     }
     out += '\n';
   }
   in_.erase(0, start);
   // An incomplete line past the bound is answered and discarded NOW — the
   // buffer must stay bounded no matter how much the client streams without
-  // a newline.
-  if (in_.size() > max_line_bytes_) {
-    out += "ERR request line exceeds " + std::to_string(max_line_bytes_) +
-           " bytes\n";
+  // a newline. One trailing '\r' does not count: it may be the first half
+  // of the CRLF that ends a line of exactly the bound, which must get the
+  // same answer however the reads split it.
+  std::size_t pending = in_.size();
+  if (pending > 0 && in_.back() == '\r') --pending;
+  if (pending > max_line_bytes_) {
+    append_oversized(out, "line", max_line_bytes_);
+    out += '\n';
     in_.clear();
     in_.shrink_to_fit();
     discarding_line_ = true;
@@ -132,9 +159,9 @@ void ProtocolSession::process_binary(std::string& out) {
     if (length > max_line_bytes_) {
       // Oversized frame: one ERR response frame, payload skipped, the
       // session survives — the binary protocol's ERR-and-discard rule.
-      append_binary_frame(out, "ERR request frame exceeds " +
-                                   std::to_string(max_line_bytes_) +
-                                   " bytes");
+      const std::size_t header = open_frame(out);
+      append_oversized(out, "frame", max_line_bytes_);
+      close_frame(out, header);
       discard_frame_bytes_ = length;
       start += 4;
       continue;
@@ -142,12 +169,9 @@ void ProtocolSession::process_binary(std::string& out) {
     if (in_.size() - start < 4 + static_cast<std::size_t>(length)) {
       break;  // frame not complete yet
     }
-    const std::string_view query(in_.data() + start + 4, length);
-    if (query == "HEALTH") {
-      append_binary_frame(out, answer_health());
-    } else {
-      append_binary_frame(out, engine_->answer(query));
-    }
+    const std::size_t header = open_frame(out);
+    append_answer(out, std::string_view(in_.data() + start + 4, length));
+    close_frame(out, header);
     start += 4 + static_cast<std::size_t>(length);
   }
   in_.erase(0, start);

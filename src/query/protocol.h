@@ -22,15 +22,17 @@
 //     simply waits for more bytes.
 //
 // The "HEALTH" request is server-level, not engine-level: the owner
-// supplies a callback producing the health line (servers report uptime and
+// supplies a callback appending the health line (servers report uptime and
 // connection counters); without one, HEALTH falls through to the engine,
 // which answers ERR — harnesses that only care about framing need no fake
 // server state.
 //
 // Buffering is bounded: an unterminated line is answered-and-discarded the
-// moment it exceeds `max_line_bytes`, and a complete-but-oversized frame is
-// never buffered at all, so a peer streaming garbage can pin at most
-// max_line_bytes + one read chunk of memory.
+// moment it exceeds `max_line_bytes` (not counting a trailing '\r', which
+// may start the CRLF of a line exactly at the bound), and a
+// complete-but-oversized frame is never buffered at all, so a peer
+// streaming garbage can pin at most max_line_bytes + one read chunk of
+// memory.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +53,9 @@ void append_binary_frame(std::string& out, std::string_view payload);
 
 class ProtocolSession {
  public:
-  /// Answer for the server-level "HEALTH" probe (no trailing newline).
-  using HealthFn = std::function<std::string()>;
+  /// Appends the answer for the server-level "HEALTH" probe (no trailing
+  /// newline) to its argument.
+  using HealthFn = std::function<void(std::string&)>;
 
   /// `engine` must outlive the session (or every feed must use the
   /// engine-explicit overload below, which re-points the session first).
@@ -63,8 +66,10 @@ class ProtocolSession {
                            HealthFn health = {});
 
   /// Consumes `bytes` and appends the answer bytes for every request they
-  /// complete to `out`. Incomplete trailing input is buffered for the next
-  /// feed, so arbitrary chunking produces byte-identical output.
+  /// complete to `out`. Each answer is formatted, and each binary frame's
+  /// length patched, in place, so once `out` has grown a request allocates
+  /// nothing. Incomplete trailing input is buffered for the next feed, so
+  /// arbitrary chunking produces byte-identical output.
   void feed(std::string_view bytes, std::string& out);
 
   /// Same, answering from `engine` instead of the constructor's — the
@@ -87,7 +92,8 @@ class ProtocolSession {
   void process(std::string& out);
   void process_line(std::string& out);
   void process_binary(std::string& out);
-  [[nodiscard]] std::string answer_health();
+  /// Appends the answer to one request: HEALTH or the engine's.
+  void append_answer(std::string& out, std::string_view query) const;
 
   const QueryEngine* engine_;
   std::size_t max_line_bytes_;

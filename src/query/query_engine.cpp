@@ -1,9 +1,9 @@
 #include "query/query_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
-#include <vector>
 
 #include "core/inference.h"
 
@@ -30,17 +30,25 @@ using store::PrefixRecord;
   return (std::uint64_t{address} << 1) | direction;
 }
 
-/// Splits a query line into whitespace-separated tokens (at most 4 — more
-/// than any command takes, so garbage tails are detected, not truncated).
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> tokens;
+/// A query line's whitespace-separated tokens: at most 4, more than any
+/// command takes, so garbage tails are detected, not truncated.
+struct Tokens {
+  std::array<std::string_view, 4> items;
+  std::size_t size = 0;
+  [[nodiscard]] std::string_view operator[](std::size_t i) const {
+    return items[i];
+  }
+};
+
+Tokens tokenize(std::string_view line) {
+  Tokens tokens;
   std::size_t pos = 0;
-  while (pos < line.size() && tokens.size() < 4) {
+  while (pos < line.size() && tokens.size < tokens.items.size()) {
     while (pos < line.size() && (line[pos] == ' ' || line[pos] == '\t')) ++pos;
     if (pos >= line.size()) break;
     std::size_t end = pos;
     while (end < line.size() && line[end] != ' ' && line[end] != '\t') ++end;
-    tokens.push_back(line.substr(pos, end - pos));
+    tokens.items[tokens.size++] = line.substr(pos, end - pos);
     pos = end;
   }
   return tokens;
@@ -64,7 +72,7 @@ std::vector<std::string_view> tokenize(std::string_view line) {
   return value;
 }
 
-[[nodiscard]] const char* kind_name(std::uint8_t kind) {
+[[nodiscard]] std::string_view kind_name(std::uint8_t kind) {
   switch (static_cast<core::InferenceKind>(kind)) {
     case core::InferenceKind::kDirect: return "direct";
     case core::InferenceKind::kIndirect: return "indirect";
@@ -73,24 +81,45 @@ std::vector<std::string_view> tokenize(std::string_view line) {
   return "?";
 }
 
-}  // namespace
-
-std::string format_inference(const InferenceRecord& r) {
-  std::string out = net::Ipv4Address(r.address).to_string();
-  out += '|';
-  out += r.direction == 0 ? 'f' : 'b';
-  out += '|';
-  out += std::to_string(r.router_as);
-  out += '|';
-  out += std::to_string(r.other_as);
-  out += '|';
-  out += kind_name(r.kind);
-  out += '|';
-  out += std::to_string(r.votes);
-  out += '/';
-  out += std::to_string(r.neighbor_count);
-  return out;
+void append_address(std::string& out, std::uint32_t address) {
+  char text[net::Ipv4Address::kMaxTextBytes];
+  out.append(text, net::Ipv4Address(address).to_chars(text));
 }
+
+/// Longest inference line: "uncertain|", the address, "|f|", two 10-digit
+/// ASNs around a '|', "|indirect|" and two 10-digit counts around a '/'.
+constexpr std::size_t kMaxInferenceBytes =
+    10 + net::Ipv4Address::kMaxTextBytes + 3 + 10 + 1 + 10 + 10 + 10 + 1 + 10;
+
+/// Appends one record as the core/result_io line (identical to
+/// core::write_inferences output for the equivalent Inference), prefixed
+/// "uncertain|" when the record is uncertain. The line is built in a
+/// bounded stack buffer and appended once.
+void append_inference(std::string& out, const InferenceRecord& r) {
+  char line[kMaxInferenceBytes];
+  char* p = line;
+  const auto put = [&p](std::string_view text) {
+    p = std::copy(text.begin(), text.end(), p);
+  };
+  const auto put_number = [&p](std::uint32_t value) {
+    p = std::to_chars(p, p + 10, value).ptr;  // 2^32 - 1 has 10 digits
+  };
+  if ((r.flags & store::kInferenceUncertain) != 0) put("uncertain|");
+  p = net::Ipv4Address(r.address).to_chars(p);
+  put(r.direction == 0 ? "|f|" : "|b|");
+  put_number(r.router_as);
+  *p++ = '|';
+  put_number(r.other_as);
+  *p++ = '|';
+  put(kind_name(r.kind));
+  *p++ = '|';
+  put_number(r.votes);
+  *p++ = '/';
+  put_number(r.neighbor_count);
+  out.append(line, p);
+}
+
+}  // namespace
 
 QueryEngine::QueryEngine(const store::SnapshotReader& reader)
     : reader_(reader),
@@ -205,74 +234,81 @@ std::span<const LinkRecord> QueryEngine::links_between(asdata::Asn a,
                        static_cast<std::size_t>(last - first));
 }
 
-std::string QueryEngine::answer(std::string_view query) const {
-  const std::vector<std::string_view> tokens = tokenize(query);
-  if (tokens.empty()) return "ERR empty query";
+void QueryEngine::append_answer(std::string& out,
+                                std::string_view query) const {
+  const auto reply = [&out](std::string_view text) { out.append(text); };
+  const Tokens tokens = tokenize(query);
+  if (tokens.size == 0) return reply("ERR empty query");
   const std::string_view command = tokens[0];
 
   if (command == "lookup") {
-    if (tokens.size() != 3) return "ERR usage: lookup <addr> <f|b>";
+    if (tokens.size != 3) return reply("ERR usage: lookup <addr> <f|b>");
     const auto address = net::Ipv4Address::parse(tokens[1]);
     const auto direction = parse_direction(tokens[2]);
-    if (!address) return "ERR bad address";
-    if (!direction) return "ERR bad direction (want f or b)";
+    if (!address) return reply("ERR bad address");
+    if (!direction) return reply("ERR bad direction (want f or b)");
     const InferenceRecord* record = lookup(*address, *direction);
-    if (record == nullptr) return "MISS";
-    if ((record->flags & store::kInferenceUncertain) != 0) {
-      return "uncertain|" + format_inference(*record);
-    }
-    return format_inference(*record);
+    if (record == nullptr) return reply("MISS");
+    return append_inference(out, *record);
   }
 
   if (command == "addr") {
-    if (tokens.size() != 2) return "ERR usage: addr <addr>";
+    if (tokens.size != 2) return reply("ERR usage: addr <addr>");
     const auto address = net::Ipv4Address::parse(tokens[1]);
-    if (!address) return "ERR bad address";
-    std::string out;
+    if (!address) return reply("ERR bad address");
+    // `out` may already hold earlier answers: only what this answer wrote
+    // decides the separator and the MISS.
+    const std::size_t start = out.size();
     for (const InferenceRecord& record : lookup_address(*address)) {
       if ((record.flags & store::kInferenceUncertain) != 0) continue;
-      if (!out.empty()) out += ';';
-      out += format_inference(record);
+      if (out.size() != start) out += ';';
+      append_inference(out, record);
     }
-    return out.empty() ? "MISS" : out;
+    if (out.size() == start) reply("MISS");
+    return;
   }
 
   if (command == "ip2as") {
-    if (tokens.size() != 2 && tokens.size() != 3) {
-      return "ERR usage: ip2as <addr> [f|b]";
+    if (tokens.size != 2 && tokens.size != 3) {
+      return reply("ERR usage: ip2as <addr> [f|b]");
     }
     const auto address = net::Ipv4Address::parse(tokens[1]);
-    if (!address) return "ERR bad address";
-    if (tokens.size() == 3) {
+    if (!address) return reply("ERR bad address");
+    if (tokens.size == 3) {
       const auto direction = parse_direction(tokens[2]);
-      if (!direction) return "ERR bad direction (want f or b)";
+      if (!direction) return reply("ERR bad direction (want f or b)");
       const auto [asn, overridden] = final_mapping(*address, *direction);
-      return std::to_string(asn) + (overridden ? "|final" : "|base");
+      append_decimal(out, asn);
+      return reply(overridden ? "|final" : "|base");
     }
     const Ip2AsAnswer hit = ip2as(*address);
-    if (!hit.announced()) return "unannounced";
-    return hit.prefix->to_string() + '|' + std::to_string(hit.asn) + '|' +
-           (hit.from_fallback ? "fallback" : "bgp");
+    if (!hit.announced()) return reply("unannounced");
+    append_address(out, hit.prefix->network().value());
+    out += '/';
+    append_decimal(out, hit.prefix->length());
+    out += '|';
+    append_decimal(out, hit.asn);
+    return reply(hit.from_fallback ? "|fallback" : "|bgp");
   }
 
   if (command == "links") {
-    if (tokens.size() != 3) return "ERR usage: links <asn> <asn>";
+    if (tokens.size != 3) return reply("ERR usage: links <asn> <asn>");
     const auto as_a = parse_asn(tokens[1]);
     const auto as_b = parse_asn(tokens[2]);
-    if (!as_a || !as_b) return "ERR bad ASN";
+    if (!as_a || !as_b) return reply("ERR bad ASN");
     const auto links = links_between(*as_a, *as_b);
-    std::string out = std::to_string(links.size());
+    append_decimal(out, links.size());
     for (const LinkRecord& link : links) {
       out += ' ';
-      out += net::Ipv4Address(link.low).to_string();
+      append_address(out, link.low);
       out += '-';
-      out += net::Ipv4Address(link.high).to_string();
+      append_address(out, link.high);
     }
-    return out;
+    return;
   }
 
   if (command == "stats") {
-    if (tokens.size() != 1) return "ERR usage: stats";
+    if (tokens.size != 1) return reply("ERR usage: stats");
     std::size_t confident = 0;
     std::size_t uncertain = 0;
     for (const InferenceRecord& record : reader_.inferences()) {
@@ -281,19 +317,36 @@ std::string QueryEngine::answer(std::string_view query) const {
     }
     char crc_hex[9];
     std::snprintf(crc_hex, sizeof(crc_hex), "%08x", reader_.payload_crc32());
-    return "inferences=" + std::to_string(confident) +
-           " uncertain=" + std::to_string(uncertain) +
-           " links=" + std::to_string(reader_.links().size()) +
-           " bgp_prefixes=" + std::to_string(reader_.bgp_prefixes().size()) +
-           " fallback_prefixes=" +
-           std::to_string(reader_.fallback_prefixes().size()) +
-           " mappings=" + std::to_string(reader_.mappings().size()) +
-           " version=" + std::to_string(reader_.version()) +
-           " crc32=" + crc_hex +
-           " bytes=" + std::to_string(reader_.size_bytes());
+    out += "inferences=";
+    append_decimal(out, confident);
+    out += " uncertain=";
+    append_decimal(out, uncertain);
+    out += " links=";
+    append_decimal(out, reader_.links().size());
+    out += " bgp_prefixes=";
+    append_decimal(out, reader_.bgp_prefixes().size());
+    out += " fallback_prefixes=";
+    append_decimal(out, reader_.fallback_prefixes().size());
+    out += " mappings=";
+    append_decimal(out, reader_.mappings().size());
+    out += " version=";
+    append_decimal(out, reader_.version());
+    out += " crc32=";
+    out += crc_hex;
+    out += " bytes=";
+    append_decimal(out, reader_.size_bytes());
+    return;
   }
 
-  return "ERR unknown command '" + std::string(command) + "'";
+  out += "ERR unknown command '";
+  out += command;
+  out += '\'';
+}
+
+std::string QueryEngine::answer(std::string_view query) const {
+  std::string out;
+  append_answer(out, query);
+  return out;
 }
 
 }  // namespace mapit::query

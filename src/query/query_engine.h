@@ -34,6 +34,8 @@
 // going, so one bad line cannot poison a pipelined stream.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -86,7 +88,13 @@ class QueryEngine {
   [[nodiscard]] std::span<const store::LinkRecord> links_between(
       asdata::Asn a, asdata::Asn b) const;
 
-  /// Answers one protocol line (without trailing newline).
+  /// Appends the answer to one protocol line (without trailing newline) to
+  /// `out`. The bytes already in `out` are neither read nor altered, so a
+  /// server appends straight into a connection's output buffer; once that
+  /// buffer has grown, answering allocates nothing.
+  void append_answer(std::string& out, std::string_view query) const;
+
+  /// The same answer as a string of its own.
   [[nodiscard]] std::string answer(std::string_view query) const;
 
   [[nodiscard]] const store::SnapshotReader& reader() const { return reader_; }
@@ -99,8 +107,12 @@ class QueryEngine {
   std::uint64_t fallback_lengths_ = 0;
 };
 
-/// Formats one inference record as the core/result_io line (identical to
-/// core::write_inferences output for the equivalent Inference).
-[[nodiscard]] std::string format_inference(const store::InferenceRecord& r);
+/// Appends the decimal text of `value` to `out`: what std::to_string
+/// prints, without a temporary string.
+template <std::integral Int>
+void append_decimal(std::string& out, Int value) {
+  char digits[20];  // "-9223372036854775808" and 2^64 - 1 both fit
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
+}
 
 }  // namespace mapit::query

@@ -67,29 +67,38 @@ int bind_listener(const ServerOptions& options, bool nonblocking,
 
 }  // namespace detail
 
-std::string format_health(const QueryEngine& engine, std::uint64_t generation,
-                          std::uint64_t swaps,
-                          std::chrono::steady_clock::time_point started,
-                          std::size_t connections, std::uint64_t refused,
-                          std::uint64_t accept_retries, std::uint64_t shed,
-                          const std::string& last_swap_error) {
+void format_health(std::string& out, const QueryEngine& engine,
+                   std::uint64_t generation, std::uint64_t swaps,
+                   std::chrono::steady_clock::time_point started,
+                   std::size_t connections, std::uint64_t refused,
+                   std::uint64_t accept_retries, std::uint64_t shed,
+                   const std::string& last_swap_error) {
   char crc_hex[9];
   std::snprintf(crc_hex, sizeof(crc_hex), "%08x",
                 engine.reader().payload_crc32());
   const auto uptime = std::chrono::duration_cast<std::chrono::seconds>(
                           std::chrono::steady_clock::now() - started)
                           .count();
-  std::string out = "OK crc32=";
+  out += "OK crc32=";
   out += crc_hex;
-  out += " uptime=" + std::to_string(uptime);
-  out += " connections=" + std::to_string(connections);
-  out += " inferences=" + std::to_string(engine.reader().inferences().size());
-  out += " refused=" + std::to_string(refused);
-  out += " accept_retries=" + std::to_string(accept_retries);
-  out += " version=" + std::to_string(engine.reader().version());
-  out += " generation=" + std::to_string(generation);
-  out += " swaps=" + std::to_string(swaps);
-  out += " shed=" + std::to_string(shed);
+  out += " uptime=";
+  append_decimal(out, uptime);
+  out += " connections=";
+  append_decimal(out, connections);
+  out += " inferences=";
+  append_decimal(out, engine.reader().inferences().size());
+  out += " refused=";
+  append_decimal(out, refused);
+  out += " accept_retries=";
+  append_decimal(out, accept_retries);
+  out += " version=";
+  append_decimal(out, engine.reader().version());
+  out += " generation=";
+  append_decimal(out, generation);
+  out += " swaps=";
+  append_decimal(out, swaps);
+  out += " shed=";
+  append_decimal(out, shed);
   // "never swapped" (none) and "swap failing" (the message) must be
   // distinguishable to the supervisor's probe. One token, key=value safe.
   out += " last_swap_error=";
@@ -100,7 +109,6 @@ std::string format_health(const QueryEngine& engine, std::uint64_t generation,
       out += (c == ' ' || c == '\n' || c == '\r' || c == '\t') ? '_' : c;
     }
   }
-  return out;
 }
 
 }  // namespace mapit::query

@@ -74,7 +74,8 @@ inline constexpr char kCapacityRefusal[] =
 
 }  // namespace detail
 
-/// The HEALTH probe answer (no trailing newline). `generation` and `swaps`
+/// Appends the HEALTH probe answer (no trailing newline) to `out`, leaving
+/// the bytes already there alone. `generation` and `swaps`
 /// describe the live snapshot hot-swap state (generation 1 / 0 swaps for a
 /// server bound to a fixed engine); the snapshot's own format version
 /// comes from the engine's reader. `shed` counts connections refused by
@@ -82,10 +83,11 @@ inline constexpr char kCapacityRefusal[] =
 /// failure ("" = none yet — reported as `last_swap_error=none`, spaces
 /// become '_' so the line stays key=value parseable). New fields append at
 /// the end — probes match the line's prefix.
-[[nodiscard]] std::string format_health(
-    const QueryEngine& engine, std::uint64_t generation, std::uint64_t swaps,
-    std::chrono::steady_clock::time_point started, std::size_t connections,
-    std::uint64_t refused, std::uint64_t accept_retries, std::uint64_t shed,
-    const std::string& last_swap_error);
+void format_health(std::string& out, const QueryEngine& engine,
+                   std::uint64_t generation, std::uint64_t swaps,
+                   std::chrono::steady_clock::time_point started,
+                   std::size_t connections, std::uint64_t refused,
+                   std::uint64_t accept_retries, std::uint64_t shed,
+                   const std::string& last_swap_error);
 
 }  // namespace mapit::query

@@ -1,13 +1,14 @@
-// Allocation and memory tripwires for the cold path and the republish
-// path. Wall time on a shared host is noise; heap allocation counts and
-// heap high-water marks repeat exactly, so they pin the cost model:
-// parsing and sanitizing a corpus allocate per trace (its exact-size hop
-// vector) and nothing per hop; the streaming load holds one block of input
-// plus the distinct addresses and pairs, whatever the file's length; the
-// interface graph allocates per record (its two neighbour lists) and
-// nothing per adjacency occurrence; the engine and the snapshot build
-// allocate per output (result entries, final mappings, links) and nothing
-// per half or adjacency.
+// Allocation and memory tripwires for the cold path, the republish path
+// and the request path. Wall time on a shared host is noise; heap
+// allocation counts and heap high-water marks repeat exactly, so they pin
+// the cost model: parsing and sanitizing a corpus allocate per trace (its
+// exact-size hop vector) and nothing per hop; the streaming load holds one
+// block of input plus the distinct addresses and pairs, whatever the
+// file's length; the interface graph allocates per record (its two
+// neighbour lists) and nothing per adjacency occurrence; the engine and
+// the snapshot build allocate per output (result entries, final mappings,
+// links) and nothing per half or adjacency; a served request allocates
+// nothing once the connection's buffers have grown.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is a separate test executable.
@@ -23,12 +24,17 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
 #include "eval/experiment.h"
 #include "graph/interface_graph.h"
 #include "net/load_report.h"
+#include "query/protocol.h"
+#include "query/query_engine.h"
+#include "query/server.h"
+#include "store/reader.h"
 #include "store/writer.h"
 #include "trace/sanitize.h"
 #include "trace/trace_io.h"
@@ -327,6 +333,85 @@ TEST(AllocTripwire, EngineAndSnapshotAllocatePerOutputNotPerHalf) {
   EXPECT_LE(publish, data.links.size() + 100) << data.links.size()
                                               << " links";
   EXPECT_LT(publish, halves / 2) << halves << " halves";
+}
+
+// What `mapit serve` runs per request: the session frames it and the
+// engine (or HEALTH) appends the answer to the connection's buffer.
+TEST(AllocTripwire, QueryRequestsAllocateNothingOnceWarm) {
+  using store::InferenceRecord;
+  store::SnapshotData data;
+  // 10.0.0.1 has both halves; 10.0.0.2 forward only, uncertain.
+  data.inferences.push_back(
+      InferenceRecord{0x0A000001u, 0, 0, 0, 0, 100, 200, 3, 4});
+  data.inferences.push_back(
+      InferenceRecord{0x0A000001u, 1, 1, 0, 0, 100, 300, 2, 4});
+  data.inferences.push_back(InferenceRecord{
+      0x0A000002u, 0, 2, store::kInferenceUncertain, 0, 300, 100, 1, 2});
+  data.links.push_back(
+      store::LinkRecord{0x0A000001u, 0x0A000009u, 100, 200, 2, 5, 8, 0, {}});
+  data.links.push_back(
+      store::LinkRecord{0x0A000003u, 0x0A000004u, 100, 200, 1, 2, 4, 0, {}});
+  data.bgp_prefixes.push_back(store::PrefixRecord{0x0A000000u, 200, 24, {}});
+  data.fallback_prefixes.push_back(
+      store::PrefixRecord{0xC0000000u, 999, 4, {}});
+  data.mappings.push_back(store::MappingRecord{0x0A000001u, 300, 1, {}});
+  const std::string image = store::serialize_snapshot(data);
+  const store::SnapshotReader reader = store::SnapshotReader::from_bytes(image);
+  const query::QueryEngine engine(reader);
+
+  const std::vector<std::string_view> requests = {
+      "lookup 10.0.0.1 f",  // hit
+      "lookup 10.0.0.9 b",  // miss
+      "lookup 10.0.0.2 f",  // uncertain
+      "addr 10.0.0.1",      // two records
+      "addr 10.0.0.2",      // uncertain only: MISS
+      "ip2as 10.0.0.77",    "ip2as 200.1.2.3",  "ip2as 64.0.0.1",
+      "ip2as 10.0.0.1 b",   "ip2as 10.0.0.1 f", "links 200 100",
+      "links 1 2",          "stats",            "HEALTH",
+      "   ",                "frobnicate",       "lookup 10.0.0.1",
+      "lookup nonsense f",  "lookup 10.0.0.1 x", "addr",
+      "addr 1.2.3.4 extra", "ip2as",            "ip2as 1.2.3.4 q",
+      "links 100",          "links abc 100",    "stats now"};
+  const auto started = std::chrono::steady_clock::now();
+  const std::string no_swap_error;
+  const auto health = [&](std::string& out) {
+    query::format_health(out, engine, 1, 0, started, 0, 0, 0, 0,
+                         no_swap_error);
+  };
+
+  std::string lines;
+  std::string frames;
+  for (const std::string_view request : requests) {
+    lines.append(request).append("\r\n");
+    query::append_binary_frame(frames, request);
+  }
+  query::ProtocolSession line_session(engine, 1 << 20, health);
+  query::ProtocolSession binary_session(engine, 1 << 20, health);
+  std::string out;
+  binary_session.feed(std::string_view(query::kBinaryProtocolMagic, 4), out);
+  ASSERT_TRUE(binary_session.binary_mode());
+
+  for (auto [session, batch] : {std::pair{&line_session, &lines},
+                                std::pair{&binary_session, &frames}}) {
+    out.clear();
+    session->feed(*batch, out);  // warm-up: the buffers grow here
+    const std::string warm = out;
+    constexpr int kPasses = 8;
+    const std::uint64_t allocations = allocations_of([&] {
+      for (int pass = 0; pass < kPasses; ++pass) {
+        out.clear();
+        session->feed(*batch, out);
+      }
+    });
+    EXPECT_EQ(out, warm);
+    EXPECT_EQ(allocations, 0u)
+        << (session->binary_mode() ? "binary" : "line") << ": "
+        << allocations << " allocations over " << kPasses * requests.size()
+        << " requests";
+  }
+  EXPECT_NE(out.find("OK crc32="), std::string::npos);
+  EXPECT_NE(out.find("10.0.0.1|f|100|200|direct|3/4;10.0.0.1|b|"),
+            std::string::npos);
 }
 
 }  // namespace

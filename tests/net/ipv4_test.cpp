@@ -81,6 +81,18 @@ TEST_P(Ipv4RoundTripTest, FormatThenParseIsIdentity) {
   EXPECT_EQ(*reparsed, original);
 }
 
+TEST_P(Ipv4RoundTripTest, TextIsStdToStringPerOctet) {
+  const Ipv4Address address(GetParam());
+  std::string expected;
+  for (int i = 0; i < 4; ++i) {
+    if (i > 0) expected += '.';
+    expected += std::to_string(address.octet(i));
+  }
+  char text[Ipv4Address::kMaxTextBytes];
+  EXPECT_EQ(std::string(text, address.to_chars(text)), expected);
+  EXPECT_EQ(address.to_string(), expected);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Corners, Ipv4RoundTripTest,
     ::testing::Values(0u, 1u, 0xFFu, 0x100u, 0x01020304u, 0x7F000001u,

@@ -717,7 +717,7 @@ int cmd_query(Args& args) {
   while (std::getline(std::cin, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
-    out += engine.answer(line);
+    engine.append_answer(out, line);
     out += '\n';
     // Flush in chunks so interactive use stays responsive while huge
     // batches still amortize the write syscalls.
