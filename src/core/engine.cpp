@@ -22,6 +22,18 @@ namespace {
          f * static_cast<double>(total);
 }
 
+/// Puts a list built in HalfId order into address order. HalfId order is
+/// two runs, each ascending by address: the records' entries (the first
+/// `record_entries`), then the phantoms'.
+template <typename T, typename KeyOf>
+void merge_runs(std::vector<T>& list, std::size_t record_entries,
+                KeyOf key_of) {
+  std::inplace_merge(
+      list.begin(), list.begin() + static_cast<std::ptrdiff_t>(record_entries),
+      list.end(),
+      [&](const T& a, const T& b) { return key_of(a) < key_of(b); });
+}
+
 }  // namespace
 
 Engine::Engine(const graph::InterfaceGraph& graph, const bgp::Ip2As& ip2as,
@@ -35,16 +47,6 @@ Engine::Engine(const graph::InterfaceGraph& graph, const bgp::Ip2As& ip2as,
   MAPIT_ENSURE(options_.f >= 0.0 && options_.f <= 1.0,
                "f must be within [0, 1]");
   MAPIT_ENSURE(options_.max_iterations > 0, "max_iterations must be positive");
-  const std::size_t halves = graph_.half_count();
-  halves_.resize(halves);
-  base_.resize(halves);
-  base_group_.resize(halves);
-  view_.resize(halves);
-  view_group_.resize(halves);
-  touched_.assign(halves, 0);
-  dirty_flag_.assign(halves, 0);
-  stale_.reserve(halves);  // one buffer for every pass's stale ids
-
   const unsigned threads = parallel::resolve_threads(options_.threads);
   if (threads > 1) pool_ = std::make_unique<parallel::ThreadPool>(threads);
   const std::size_t workers = pool_ ? pool_->size() : 1;
@@ -58,29 +60,67 @@ Engine::Engine(const graph::InterfaceGraph& graph, const bgp::Ip2As& ip2as,
 // ---------------------------------------------------------------------------
 
 void Engine::reset_state() {
-  std::fill(halves_.begin(), halves_.end(), HalfState{});
-  // Base mappings come straight off the prefix trie, once per address (the
-  // two halves of an address always share a base mapping).
-  const std::size_t halves = halves_.size();
-  for (std::size_t id = 0; id < halves; id += 2) {
-    const asdata::Asn asn =
-        ip2as_.origin(graph_.address_at(static_cast<HalfId>(id)));
-    base_[id] = base_[id + 1] = asn;
-    const std::uint64_t key =
-        asn == asdata::kUnknownAsn ? 0 : group_key(asn);
-    base_group_[id] = base_group_[id + 1] = key;
-  }
+  // Sized here, not at construction: a fold may have grown the graph since
+  // the last run. assign() keeps each slab's buffer when it is big enough.
+  const std::size_t halves = graph_.half_count();
+  halves_.assign(halves, HalfState{});
+  has_direct_.assign(halves, 0);
+  indirect_source_.assign(halves, graph::kInvalidHalfId);
+  touched_.assign(halves, 0);
+  dirty_flag_.assign(halves, 0);
+  base_.resize(halves);
+  base_group_.resize(halves);
+  resolve_base();
   // No half carries an override yet: the frozen view is the base mapping.
   view_ = base_;
   view_group_ = base_group_;
   stale_.clear();
+  stale_.reserve(halves);  // one buffer for every pass's stale ids
   dirty_.clear();
   work_.clear();
-  std::fill(touched_.begin(), touched_.end(), 0);
-  std::fill(dirty_flag_.begin(), dirty_flag_.end(), 0);
+  suppressed_list_.clear();
+  uncertain_list_.clear();
   stats_ = EngineStats{};
   snapshots_.clear();
   tracker_ = ConvergenceTracker{};
+}
+
+void Engine::resolve_base() {
+  // The two halves of an address share its base mapping: one prefix-trie
+  // lookup and one group key per address, except for addresses the last
+  // run resolved. The record run and the phantom run are each ascending by
+  // address, so one forward cursor per run over the cache finds them.
+  const std::size_t addresses = graph_.half_count() / 2;
+  const std::size_t records = graph_.size();
+  next_cache_.clear();
+  next_cache_.reserve(addresses);
+  for (const auto& [begin, end] :
+       {std::pair{std::size_t{0}, records}, std::pair{records, addresses}}) {
+    auto cached = base_cache_.cbegin();
+    for (std::size_t i = begin; i < end; ++i) {
+      const auto id = static_cast<HalfId>(2 * i);
+      const net::Ipv4Address address = graph_.address_at(id);
+      while (cached != base_cache_.cend() && cached->address < address) {
+        ++cached;
+      }
+      BaseEntry entry;
+      if (cached != base_cache_.cend() && cached->address == address) {
+        entry = *cached;
+      } else {
+        const asdata::Asn asn = ip2as_.origin(address);
+        entry = {address, asn,
+                 asn == asdata::kUnknownAsn ? 0 : group_key(asn)};
+      }
+      base_[id] = base_[id + 1] = entry.asn;
+      base_group_[id] = base_group_[id + 1] = entry.group;
+      next_cache_.push_back(entry);
+    }
+  }
+  merge_runs(next_cache_, records,
+             [](const BaseEntry& entry) { return entry.address; });
+  // Swapped in only when complete: a run that throws before this point
+  // leaves the previous cache, still valid for the next run.
+  base_cache_.swap(next_cache_);
 }
 
 asdata::Asn Engine::effective_as(HalfId id) const {
@@ -117,6 +157,15 @@ void Engine::freeze_view() {
         view_entry(static_cast<HalfId>(id))) {
       throw InvariantError("engine frozen view is stale at half " +
                            std::to_string(id));
+    }
+    // Every write site that makes or drops a direct or indirect inference
+    // sets the half's override and its slab entry together.
+    const HalfState& st = halves_[id];
+    if ((has_direct_[id] != 0) != st.direct_override.has_value() ||
+        (indirect_source_[id] != graph::kInvalidHalfId) !=
+            st.indirect_override.has_value()) {
+      throw InvariantError("engine scan slabs disagree with the state of "
+                           "half " + std::to_string(id));
     }
   }
 #endif
@@ -229,14 +278,20 @@ void Engine::mutate_mapping(HalfId id, Fn&& fn) {
   }
 }
 
-void Engine::take_work() {
+void Engine::take_work(bool full_sweep) {
   work_.clear();
+  if (full_sweep) {
+    // The sweep visits every half; the pending set only needs dropping.
+    for (HalfId id : dirty_) dirty_flag_[id] = 0;
+    dirty_.clear();
+    return;
+  }
   std::swap(work_, dirty_);
   for (HalfId id : work_) dirty_flag_[id] = 0;
-  // Ascending id order equals (address, direction) order, so an
-  // incremental pass visits its candidates in the same order a full sweep
-  // would — last-writer effects (e.g. two sources propagating an indirect
-  // inference onto the same other side) stay identical.
+  // Ascending id order is the order a full sweep visits record halves in,
+  // so an incremental pass repeats a full sweep's visit order — last-writer
+  // effects (e.g. two sources propagating an indirect inference onto the
+  // same other side) stay identical.
   std::sort(work_.begin(), work_.end());
 }
 
@@ -244,30 +299,41 @@ void Engine::take_work() {
 // Bookkeeping
 // ---------------------------------------------------------------------------
 
-void Engine::clear_suppressions() {
-  for (HalfState& st : halves_) st.suppressed = false;
+void Engine::clear_flags(std::vector<HalfId>& list, bool HalfState::*flag) {
+  for (HalfId id : list) halves_[id].*flag = false;
+  list.clear();
+#ifndef NDEBUG
+  for (std::size_t id = 0; id < halves_.size(); ++id) {
+    if (halves_[id].*flag) {
+      throw InvariantError("engine flag list misses half " +
+                           std::to_string(id));
+    }
+  }
+#endif
 }
 
 void Engine::discard_direct(HalfId id, bool suppress) {
-  HalfState& st = halves_[id];
-  if (!st.direct) return;
+  if (!has_direct_[id]) return;
   mutate_mapping(id, [&](HalfState& s) {
-    s.direct.reset();
+    has_direct_[id] = 0;
     s.direct_override.reset();
     s.uncertain = false;
-    if (suppress) s.suppressed = true;
+    if (suppress) {
+      s.suppressed = true;
+      suppressed_list_.push_back(id);
+    }
   });
   // The indirect inference propagated to the other side dies with its
   // source (§4.4.2).
   const HalfId other = graph_.other_side_id(id);
-  if (other != graph::kInvalidHalfId && halves_[other].indirect_source == id) {
+  if (other != graph::kInvalidHalfId && indirect_source_[other] == id) {
     discard_indirect(other);
   }
 }
 
 void Engine::discard_indirect(HalfId id) {
-  mutate_mapping(id, [](HalfState& st) {
-    st.indirect_source = graph::kInvalidHalfId;
+  mutate_mapping(id, [&](HalfState& st) {
+    indirect_source_[id] = graph::kInvalidHalfId;
     st.indirect_override.reset();
   });
 }
@@ -281,15 +347,14 @@ void Engine::apply_indirect(HalfId source) {
   // IXP LANs are multipoint: the /30-/31 other-side relation does not hold
   // there (footnote 7).
   if (options_.ixp_aware && ip2as_.is_ixp(graph_.address_at(source))) return;
-  const HalfState& st = halves_[source];
-  if (!st.direct) return;
+  if (!has_direct_[source]) return;
   const HalfId other = graph_.other_side_id(source);
   if (other == graph::kInvalidHalfId) return;
   if (net::is_special_purpose(graph_.address_at(other))) return;
-  const asdata::Asn router = st.direct->router_as;
+  const asdata::Asn router = halves_[source].direct.router_as;
   touched_[other] = 1;
   mutate_mapping(other, [&](HalfState& ot) {
-    ot.indirect_source = source;
+    indirect_source_[other] = source;
     ot.indirect_override = router;
   });
 }
@@ -299,8 +364,7 @@ std::optional<Engine::DirectProposal> Engine::evaluate_direct(
   const auto neighbors = graph_.neighbor_ids(id);
   if (neighbors.size() < 2) return std::nullopt;  // §4.3's two-address floor
   touched_[id] = 1;
-  const HalfState& st = halves_[id];
-  if (st.direct || st.suppressed) return std::nullopt;
+  if (has_direct_[id] || halves_[id].suppressed) return std::nullopt;
 
   const MajorityResult majority = count_majority(id, scratch);
   if (!majority.strict) return std::nullopt;
@@ -321,6 +385,7 @@ void Engine::commit_direct(const DirectProposal& proposal) {
   mutate_mapping(proposal.id, [&](HalfState& s) {
     s.direct = DirectInference{proposal.asn, base_[proposal.id], false,
                                proposal.votes, proposal.neighbor_count};
+    has_direct_[proposal.id] = 1;
     s.direct_override = proposal.asn;
   });
   ++stats_.direct_made;
@@ -387,11 +452,10 @@ bool Engine::resolve_dual_inferences() {
   for (std::size_t i = 0; i < n; ++i) {
     const HalfId fwd = static_cast<HalfId>(2 * i);
     const HalfId bwd = fwd + 1;
-    const HalfState& fs = halves_[fwd];
-    const HalfState& bs = halves_[bwd];
-    if (!fs.direct || !bs.direct) continue;
+    if (!has_direct_[fwd] || !has_direct_[bwd]) continue;
     if (base_[fwd] == asdata::kUnknownAsn) continue;
-    if (group_key(fs.direct->router_as) == group_key(bs.direct->router_as)) {
+    if (group_key(halves_[fwd].direct.router_as) ==
+        group_key(halves_[bwd].direct.router_as)) {
       continue;  // same AS both ways: load balancing/siblings; keep both
     }
     discard_direct(bwd, /*suppress=*/true);
@@ -409,35 +473,35 @@ bool Engine::resolve_inverse_inferences() {
   // inference, in which case both are flagged uncertain.
   // Uncertainty is recomputed from scratch each resolution pass, so the
   // stats counter reflects the latest pass, not a running total.
-  for (HalfState& st : halves_) st.uncertain = false;
+  clear_flags(uncertain_list_, &HalfState::uncertain);
   stats_.uncertain_pairs = 0;
 
   bool changed = false;
   const std::size_t n = graph_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const HalfId fwd = static_cast<HalfId>(2 * i);
-    HalfState& fs = halves_[fwd];
-    if (!fs.direct) continue;
-    const auto fwd_router = fs.direct->router_as;
-    const auto fwd_other = fs.direct->other_as;
+    if (!has_direct_[fwd]) continue;
+    const auto fwd_router = halves_[fwd].direct.router_as;
+    const auto fwd_other = halves_[fwd].direct.other_as;
     // A forward half's neighbour span is exactly the backward halves of
     // its N_F members.
     for (HalfId nb : graph_.neighbor_ids(fwd)) {
-      HalfState& bs = halves_[nb];
-      if (!bs.direct) continue;
-      const auto& bd = *bs.direct;
+      if (!has_direct_[nb]) continue;
+      const DirectInference& bd = halves_[nb].direct;
       const bool mirrored =
           group_key(bd.router_as) == group_key(fwd_other) &&
           group_key(bd.other_as) == group_key(fwd_router);
       if (!mirrored) continue;
 
       const HalfId nb_other = graph_.other_side_id(nb);
-      const bool other_has_direct = nb_other != graph::kInvalidHalfId &&
-                                    halves_[nb_other].direct.has_value();
+      const bool other_has_direct =
+          nb_other != graph::kInvalidHalfId && has_direct_[nb_other];
       if (other_has_direct) {
         // Neither IH is nearer: emit both as uncertain (§4.4.4).
-        fs.uncertain = true;
-        bs.uncertain = true;
+        halves_[fwd].uncertain = true;
+        halves_[nb].uncertain = true;
+        uncertain_list_.push_back(fwd);
+        uncertain_list_.push_back(nb);
         ++stats_.uncertain_pairs;
       } else {
         discard_direct(nb, /*suppress=*/true);
@@ -450,17 +514,18 @@ bool Engine::resolve_inverse_inferences() {
 }
 
 void Engine::add_step() {
-  clear_suppressions();
+  clear_flags(suppressed_list_, &HalfState::suppressed);
   const bool first_step = stats_.iterations == 0;
   bool first_pass = true;
   bool changed = true;
   while (changed) {
     ++stats_.add_passes;
     freeze_view();
-    take_work();
     // The first pass of every add step is a full sweep (suppressions were
     // just lifted); later passes only revisit dirtied halves.
-    changed = direct_pass(first_pass || !options_.incremental_recount);
+    const bool full_sweep = first_pass || !options_.incremental_recount;
+    take_work(full_sweep);
+    changed = direct_pass(full_sweep);
     if (first_step && first_pass) snapshot("Direct");
     if (options_.resolve_duals) changed |= resolve_dual_inferences();
     if (first_step && first_pass) snapshot("P2P");
@@ -477,18 +542,18 @@ void Engine::add_step() {
 
 void Engine::demote_direct(HalfId id) {
   mutate_mapping(id, [&](HalfState& st) {
-    st.direct.reset();
+    has_direct_[id] = 0;
     st.uncertain = false;
     // Retain the mapping as an indirect inference associated with the
     // other side's direct inference (§4.5) — unless the half already
     // carries a live indirect association, which must not be clobbered
     // (it is a genuine propagation from the other side's own inference).
+    const HalfId source = indirect_source_[id];
     const bool live_indirect =
-        st.indirect_source != graph::kInvalidHalfId &&
-        halves_[st.indirect_source].direct.has_value();
+        source != graph::kInvalidHalfId && has_direct_[source];
     if (!live_indirect) {
       st.indirect_override = st.direct_override;
-      st.indirect_source = graph_.other_side_id(id);
+      indirect_source_[id] = graph_.other_side_id(id);
     }
     st.direct_override.reset();
   });
@@ -496,9 +561,8 @@ void Engine::demote_direct(HalfId id) {
 }
 
 bool Engine::lost_support(HalfId id, std::vector<VoteGroup>& scratch) const {
-  const HalfState& st = halves_[id];
-  if (!st.direct) return false;
-  const DirectInference& inference = *st.direct;
+  if (!has_direct_[id]) return false;
+  const DirectInference& inference = halves_[id].direct;
   const auto neighbors = graph_.neighbor_ids(id);
 
   bool supported = false;
@@ -523,7 +587,8 @@ void Engine::remove_step() {
   while (discarded) {
     discarded = false;
     freeze_view();
-    take_work();
+    const bool full_sweep = first_pass || !options_.incremental_recount;
+    take_work(full_sweep);
 
     // Pass 1: demote unsupported direct inferences to indirect, retaining
     // their mapping update. After the first (full) sweep, only halves
@@ -532,7 +597,7 @@ void Engine::remove_step() {
     // sweep evaluates on all workers and demotes sequentially in ascending
     // id order — demotion order matters because demote_direct's liveness
     // check reads the indirect source's (possibly just-demoted) state.
-    if (first_pass || !options_.incremental_recount) {
+    if (full_sweep) {
       const std::size_t limit = graph_.record_half_count();
       if (pool_) {
         for (auto& buffer : demote_buffers_) buffer.clear();
@@ -565,9 +630,8 @@ void Engine::remove_step() {
     // inference is gone, along with their IP2AS updates.
     const std::size_t halves = halves_.size();
     for (std::size_t id = 0; id < halves; ++id) {
-      const HalfState& st = halves_[id];
-      if (st.indirect_source == graph::kInvalidHalfId) continue;
-      if (halves_[st.indirect_source].direct) continue;
+      const HalfId source = indirect_source_[id];
+      if (source == graph::kInvalidHalfId || has_direct_[source]) continue;
       discard_indirect(static_cast<HalfId>(id));
       ++stats_.removed_in_remove_step;
       discarded = true;
@@ -591,10 +655,9 @@ void Engine::stub_step() {
     const HalfId n_b = forward[0];  // {neighbour, kBackward}
 
     auto has_inference = [&](HalfId id) {
-      const HalfState& st = halves_[id];
-      if (st.direct) return true;
-      return st.indirect_source != graph::kInvalidHalfId &&
-             halves_[st.indirect_source].direct.has_value();
+      if (has_direct_[id]) return true;
+      const HalfId source = indirect_source_[id];
+      return source != graph::kInvalidHalfId && has_direct_[source] != 0;
     };
     if (has_inference(h_b) || has_inference(n_b) || has_inference(h_f)) {
       continue;
@@ -610,6 +673,7 @@ void Engine::stub_step() {
     mutate_mapping(h_f, [&](HalfState& st) {
       st.direct = DirectInference{as_n, as_h, /*from_stub_heuristic=*/true,
                                   /*votes=*/1, /*neighbor_count=*/1};
+      has_direct_[h_f] = 1;
       st.direct_override = as_n;
     });
     ++stats_.stub_inferences;
@@ -623,41 +687,58 @@ void Engine::stub_step() {
 
 std::vector<Inference> Engine::collect(bool confident) const {
   std::vector<Inference> out;
-  const std::size_t halves = halves_.size();
-  for (std::size_t id = 0; id < halves; ++id) {
-    const HalfState& st = halves_[id];
-    if (st.direct) {
-      if (st.uncertain == confident) continue;
-      out.push_back(Inference{
-          graph_.half_at(static_cast<HalfId>(id)), st.direct->router_as,
-          st.direct->other_as,
-          st.direct->from_stub_heuristic ? InferenceKind::kStub
-                                         : InferenceKind::kDirect,
-          st.uncertain, st.direct->votes, st.direct->neighbor_count});
-      continue;
-    }
-    if (st.indirect_source != graph::kInvalidHalfId && confident) {
-      const HalfState& source = halves_[st.indirect_source];
-      if (!source.direct || source.uncertain) continue;
+  const auto visit = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t id = begin; id < end; ++id) {
+      const auto half = static_cast<HalfId>(id);
+      if (has_direct_[id]) {
+        const HalfState& st = halves_[id];
+        if (st.uncertain == confident) continue;
+        out.push_back(Inference{
+            graph_.half_at(half), st.direct.router_as, st.direct.other_as,
+            st.direct.from_stub_heuristic ? InferenceKind::kStub
+                                          : InferenceKind::kDirect,
+            st.uncertain, st.direct.votes, st.direct.neighbor_count});
+        continue;
+      }
+      const HalfId source_id = indirect_source_[id];
+      if (source_id == graph::kInvalidHalfId || !confident) continue;
+      if (!has_direct_[source_id] || halves_[source_id].uncertain) continue;
       // The other side of a link shares its AS pair with the direct
       // inference, with the roles mirrored (§4.4.2).
-      out.push_back(Inference{graph_.half_at(static_cast<HalfId>(id)),
-                              source.direct->other_as,
-                              source.direct->router_as,
-                              InferenceKind::kIndirect, false,
-                              source.direct->votes,
-                              source.direct->neighbor_count});
+      const DirectInference& source = halves_[source_id].direct;
+      out.push_back(Inference{graph_.half_at(half), source.other_as,
+                              source.router_as, InferenceKind::kIndirect,
+                              false, source.votes, source.neighbor_count});
     }
-  }
-  // Record-half ids are already in (address, direction) order, but phantom
-  // ids are not interleaved by address — sort the combined list.
-  std::sort(out.begin(), out.end(),
-            [](const Inference& a, const Inference& b) {
-              if (a.half.address != b.half.address) {
-                return a.half.address < b.half.address;
-              }
-              return a.half.direction < b.half.direction;
-            });
+  };
+  const std::size_t records = graph_.record_half_count();
+  visit(0, records);
+  const std::size_t record_entries = out.size();
+  visit(records, halves_.size());
+  merge_runs(out, record_entries, [](const Inference& i) { return i.half; });
+  return out;
+}
+
+std::vector<std::pair<graph::InterfaceHalf, asdata::Asn>>
+Engine::final_mappings() const {
+  std::vector<std::pair<graph::InterfaceHalf, asdata::Asn>> out;
+  const auto visit = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t id = begin; id < end; ++id) {
+      // The override slots are set exactly while the slabs say so.
+      if (has_direct_[id]) {
+        out.emplace_back(graph_.half_at(static_cast<HalfId>(id)),
+                         *halves_[id].direct_override);
+      } else if (indirect_source_[id] != graph::kInvalidHalfId) {
+        out.emplace_back(graph_.half_at(static_cast<HalfId>(id)),
+                         *halves_[id].indirect_override);
+      }
+    }
+  };
+  const std::size_t records = graph_.record_half_count();
+  visit(0, records);
+  const std::size_t record_entries = out.size();
+  visit(records, halves_.size());
+  merge_runs(out, record_entries, [](const auto& entry) { return entry.first; });
   return out;
 }
 
@@ -677,22 +758,22 @@ std::string Engine::state_signature() const {
   for (std::size_t id = 0; id < halves; ++id) {
     if (!touched_[id]) continue;
     const HalfState& st = halves_[id];
+    const bool direct = has_direct_[id] != 0;
+    const HalfId source = indirect_source_[id];
     std::uint8_t mask = 0;
-    if (st.direct) mask |= 0x01;
-    if (st.direct && st.direct->from_stub_heuristic) mask |= 0x02;
-    if (st.indirect_source != graph::kInvalidHalfId) mask |= 0x04;
+    if (direct) mask |= 0x01;
+    if (direct && st.direct.from_stub_heuristic) mask |= 0x02;
+    if (source != graph::kInvalidHalfId) mask |= 0x04;
     if (st.direct_override) mask |= 0x08;
     if (st.indirect_override) mask |= 0x10;
     if (st.uncertain) mask |= 0x20;
     push32(static_cast<std::uint32_t>(id));
     sig.push_back(static_cast<char>(mask));
-    if (st.direct) {
-      push32(st.direct->router_as);
-      push32(st.direct->other_as);
+    if (direct) {
+      push32(st.direct.router_as);
+      push32(st.direct.other_as);
     }
-    if (st.indirect_source != graph::kInvalidHalfId) {
-      push32(st.indirect_source);
-    }
+    if (source != graph::kInvalidHalfId) push32(source);
     if (st.direct_override) push32(*st.direct_override);
     if (st.indirect_override) push32(*st.indirect_override);
   }
@@ -718,10 +799,10 @@ void Engine::count_divergent_other_sides() {
     auto pair_of = [&](HalfId first)
         -> std::optional<std::pair<std::uint64_t, std::uint64_t>> {
       for (HalfId id : {first, static_cast<HalfId>(first + 1)}) {
-        const HalfState& st = halves_[id];
-        if (st.direct) {
-          std::uint64_t a = group_key(st.direct->router_as);
-          std::uint64_t b = group_key(st.direct->other_as);
+        if (has_direct_[id]) {
+          const DirectInference& direct = halves_[id].direct;
+          std::uint64_t a = group_key(direct.router_as);
+          std::uint64_t b = group_key(direct.other_as);
           if (b < a) std::swap(a, b);
           return std::make_pair(a, b);
         }
@@ -800,17 +881,7 @@ RunOutcome Engine::run_controlled(const RunControl& control) {
   Result result;
   result.inferences = collect(/*confident=*/true);
   result.uncertain = collect(/*confident=*/false);
-  const std::size_t halves = halves_.size();
-  for (std::size_t id = 0; id < halves; ++id) {
-    const HalfState& st = halves_[id];
-    if (st.direct_override) {
-      result.final_mappings.emplace(graph_.half_at(static_cast<HalfId>(id)),
-                                    *st.direct_override);
-    } else if (st.indirect_override) {
-      result.final_mappings.emplace(graph_.half_at(static_cast<HalfId>(id)),
-                                    *st.indirect_override);
-    }
-  }
+  result.final_mappings = final_mappings();
   result.stats = stats_;
   result.snapshots = std::move(snapshots_);
   outcome.result = std::move(result);
@@ -922,9 +993,9 @@ std::string Engine::save_state() const {
   auto entry_mask = [this](std::size_t id) {
     const HalfState& st = halves_[id];
     std::uint8_t mask = 0;
-    if (st.direct) mask |= kMaskDirect;
-    if (st.direct && st.direct->from_stub_heuristic) mask |= kMaskStub;
-    if (st.indirect_source != graph::kInvalidHalfId) {
+    if (has_direct_[id]) mask |= kMaskDirect;
+    if (has_direct_[id] && st.direct.from_stub_heuristic) mask |= kMaskStub;
+    if (indirect_source_[id] != graph::kInvalidHalfId) {
       mask |= kMaskIndirectSource;
     }
     if (st.direct_override) mask |= kMaskDirectOverride;
@@ -944,15 +1015,13 @@ std::string Engine::save_state() const {
     const HalfState& st = halves_[id];
     push_u32(blob, static_cast<std::uint32_t>(id));
     blob.push_back(static_cast<char>(mask));
-    if (st.direct) {
-      push_u32(blob, st.direct->router_as);
-      push_u32(blob, st.direct->other_as);
-      push_u32(blob, st.direct->votes);
-      push_u32(blob, st.direct->neighbor_count);
+    if (mask & kMaskDirect) {
+      push_u32(blob, st.direct.router_as);
+      push_u32(blob, st.direct.other_as);
+      push_u32(blob, st.direct.votes);
+      push_u32(blob, st.direct.neighbor_count);
     }
-    if (st.indirect_source != graph::kInvalidHalfId) {
-      push_u32(blob, st.indirect_source);
-    }
+    if (mask & kMaskIndirectSource) push_u32(blob, indirect_source_[id]);
     if (st.direct_override) push_u32(blob, *st.direct_override);
     if (st.indirect_override) push_u32(blob, *st.indirect_override);
   }
@@ -1007,34 +1076,39 @@ void Engine::restore_state(const std::string& blob) {
     }
     previous_id = id;
     const std::uint8_t mask = cursor.read_u8();
-    if ((mask & kMaskStub) && !(mask & kMaskDirect)) {
+    // A saved state sets each override exactly with its inference (the
+    // engine's slabs rely on it), and the stub flag only on a direct one.
+    const auto has = [mask](std::uint8_t bit) { return (mask & bit) != 0; };
+    if ((has(kMaskStub) && !has(kMaskDirect)) ||
+        has(kMaskDirect) != has(kMaskDirectOverride) ||
+        has(kMaskIndirectSource) != has(kMaskIndirectOverride)) {
       throw CheckpointError("engine state entry flags inconsistent");
     }
     HalfState st;
-    if (mask & kMaskDirect) {
-      DirectInference direct;
-      direct.router_as = cursor.read_u32();
-      direct.other_as = cursor.read_u32();
-      direct.from_stub_heuristic = (mask & kMaskStub) != 0;
-      direct.votes = cursor.read_u32();
-      direct.neighbor_count = cursor.read_u32();
-      st.direct = direct;
+    if (has(kMaskDirect)) {
+      st.direct.router_as = cursor.read_u32();
+      st.direct.other_as = cursor.read_u32();
+      st.direct.from_stub_heuristic = has(kMaskStub);
+      st.direct.votes = cursor.read_u32();
+      st.direct.neighbor_count = cursor.read_u32();
     }
-    if (mask & kMaskIndirectSource) {
-      const std::uint32_t source = cursor.read_u32();
+    HalfId source = graph::kInvalidHalfId;
+    if (has(kMaskIndirectSource)) {
+      source = cursor.read_u32();
       if (source >= half_count) {
         throw CheckpointError("engine state indirect source out of range");
       }
-      st.indirect_source = static_cast<HalfId>(source);
     }
-    if (mask & kMaskDirectOverride) st.direct_override = cursor.read_u32();
-    if (mask & kMaskIndirectOverride) {
-      st.indirect_override = cursor.read_u32();
-    }
-    st.uncertain = (mask & kMaskUncertain) != 0;
-    st.suppressed = (mask & kMaskSuppressed) != 0;
+    if (has(kMaskDirectOverride)) st.direct_override = cursor.read_u32();
+    if (has(kMaskIndirectOverride)) st.indirect_override = cursor.read_u32();
+    st.uncertain = has(kMaskUncertain);
+    st.suppressed = has(kMaskSuppressed);
     halves_[id] = st;
-    touched_[id] = (mask & kMaskTouched) ? 1 : 0;
+    has_direct_[id] = has(kMaskDirect) ? 1 : 0;
+    indirect_source_[id] = source;
+    if (st.uncertain) uncertain_list_.push_back(id);
+    if (st.suppressed) suppressed_list_.push_back(id);
+    touched_[id] = has(kMaskTouched) ? 1 : 0;
   }
 
   const std::uint32_t tracked = cursor.read_u32();
@@ -1065,10 +1139,23 @@ void Engine::restore_state(const std::string& blob) {
 }
 
 const Inference* Result::find(const graph::InterfaceHalf& half) const {
-  for (const Inference& inference : inferences) {
-    if (inference.half == half) return &inference;
-  }
-  return nullptr;
+  const auto it = std::lower_bound(
+      inferences.begin(), inferences.end(), half,
+      [](const Inference& a, const graph::InterfaceHalf& h) {
+        return a.half < h;
+      });
+  return it != inferences.end() && it->half == half ? &*it : nullptr;
+}
+
+std::optional<asdata::Asn> Result::final_mapping(
+    const graph::InterfaceHalf& half) const {
+  const auto it = std::lower_bound(
+      final_mappings.begin(), final_mappings.end(), half,
+      [](const auto& entry, const graph::InterfaceHalf& h) {
+        return entry.first < h;
+      });
+  if (it == final_mappings.end() || it->first != half) return std::nullopt;
+  return it->second;
 }
 
 std::vector<const Inference*> Result::find_address(

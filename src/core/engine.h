@@ -25,8 +25,19 @@
 // the graph's reverse adjacency); the first pass of every step is a full
 // sweep, which keeps inference output identical to a full-recount engine.
 // Freezing the view is change-driven too: it re-transcribes only the halves
-// whose effective mapping changed since the last freeze.
+// whose effective mapping changed since the last freeze. The scans that run
+// on every add pass (dual and inverse resolution) and in every remove pass
+// (the indirect discard) read two compact slabs — whether a half holds a
+// direct inference, and the source of its indirect one — not the per-half
+// records, and flag resets walk the halves whose flag was set.
 // See DESIGN.md "Dense engine state" for the invariants.
+//
+// Residency: an Engine may run many times over a graph that grows between
+// runs (InterfaceGraph::fold, as `mapit ingest` does per publish). Each run
+// sizes its slabs from the graph as it is then and starts from empty
+// per-run state; only the thread pool, the buffers' capacity and the base
+// IP2AS mappings of the addresses already seen carry over, the latter keyed
+// by address because a fold shifts HalfIds.
 //
 // Threading: the full-sweep first pass of each add/remove step evaluates
 // candidates over disjoint HalfId ranges on Options::threads workers —
@@ -41,7 +52,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -150,13 +160,17 @@ struct Result {
   /// Uncertain inferences (§4.4.4's unresolvable inverse pairs).
   std::vector<Inference> uncertain;
   /// Final per-half IP2AS overrides at convergence: every interface half
-  /// whose mapping the algorithm refined away from the BGP-derived origin.
-  std::unordered_map<graph::InterfaceHalf, asdata::Asn> final_mappings;
+  /// whose mapping the algorithm refined away from the BGP-derived origin,
+  /// ordered by (address, direction).
+  std::vector<std::pair<graph::InterfaceHalf, asdata::Asn>> final_mappings;
   EngineStats stats;
   std::vector<Snapshot> snapshots;
 
   /// Confident inference on the given half, if any.
   [[nodiscard]] const Inference* find(const graph::InterfaceHalf& half) const;
+  /// Final mapping override of the given half, if any.
+  [[nodiscard]] std::optional<asdata::Asn> final_mapping(
+      const graph::InterfaceHalf& half) const;
   /// Any confident inference (either half) on the given address.
   [[nodiscard]] std::vector<const Inference*> find_address(
       net::Ipv4Address address) const;
@@ -174,12 +188,16 @@ struct RunOutcome {
 
 class Engine {
  public:
-  /// All referenced objects must outlive the engine.
+  /// All referenced objects must outlive the engine. `ip2as`, `orgs` and
+  /// `rels` must not change while it lives; `graph` may grow between runs
+  /// (InterfaceGraph::fold). Construction allocates no per-half state:
+  /// every run sizes its slabs from the graph as it is then.
   Engine(const graph::InterfaceGraph& graph, const bgp::Ip2As& ip2as,
          const asdata::As2Org& orgs, const asdata::AsRelationships& rels,
          Options options);
 
-  /// Runs the full algorithm. Idempotent: each call restarts from scratch.
+  /// Runs the full algorithm over the graph as it is now. Every call starts
+  /// from empty per-run state, so its result equals a fresh engine's.
   [[nodiscard]] Result run();
 
   /// run() with pause/resume control. Checkpoint/resume invariant, pinned
@@ -211,14 +229,15 @@ class Engine {
     std::uint32_t neighbor_count = 0;  // |N| at inference time
   };
 
-  /// Per-half state, one slab entry per graph::HalfId.
+  /// Per-half state, one slab entry per graph::HalfId. Whether the half
+  /// holds a direct inference and the source of its indirect inference
+  /// live in their own slabs (has_direct_, indirect_source_).
   struct HalfState {
-    std::optional<DirectInference> direct;
-    /// Indirect inference propagated from the direct inference on the other
-    /// side (the source half's id, for lifetime coupling); kInvalidHalfId
-    /// when absent.
-    HalfId indirect_source = graph::kInvalidHalfId;
+    /// Meaningful only while has_direct_ is set for the half.
+    DirectInference direct;
+    /// Set exactly while the half holds a direct inference (to its AS_N).
     std::optional<asdata::Asn> direct_override;
+    /// Set exactly while the half carries an indirect inference.
     std::optional<asdata::Asn> indirect_override;
     bool uncertain = false;
     /// Direct inference discarded during this add step; cannot be re-made
@@ -235,7 +254,9 @@ class Engine {
       HalfId id) const;
   /// Brings view_ / view_group_ up to the current state (the per-pass
   /// mapping freeze of §4.4.5) by re-transcribing only the stale halves.
-  /// Debug builds then check the result against a full transcription.
+  /// Debug builds then check the result against a full transcription, and
+  /// the has_direct_ / indirect_source_ slabs against the halves' override
+  /// slots (InvariantError on a mismatch).
   void freeze_view();
 
   // --- counting ------------------------------------------------------
@@ -268,9 +289,10 @@ class Engine {
   /// the half as stale for the next freeze_view.
   template <typename Fn>
   void mutate_mapping(HalfId id, Fn&& fn);
-  /// Drains the pending dirty set into work_ (sorted ascending so the
-  /// visit order matches a full sweep's) and clears the flags.
-  void take_work();
+  /// Drains the pending dirty set and clears its flags. An incremental
+  /// pass gets it in work_, sorted ascending so the visit order matches a
+  /// full sweep's; a full sweep visits every half and leaves work_ empty.
+  void take_work(bool full_sweep);
 
   // --- algorithm steps -------------------------------------------------
   /// A direct inference the add-step evaluation decided to make. Evaluation
@@ -285,7 +307,7 @@ class Engine {
     std::uint32_t neighbor_count = 0;
   };
   /// Decides whether `id` earns a direct inference against the frozen view.
-  /// Reads only shared immutable state plus halves_[id]; writes only
+  /// Reads only shared immutable state plus `id`'s own state; writes only
   /// touched_[id] — safe to call concurrently over disjoint id ranges.
   [[nodiscard]] std::optional<DirectProposal> evaluate_direct(
       HalfId id, std::vector<VoteGroup>& scratch);
@@ -294,7 +316,7 @@ class Engine {
   /// dependents dirty, and bumps the stats.
   void commit_direct(const DirectProposal& proposal);
   /// True when the remove step must demote `id`'s direct inference (§4.5).
-  /// Pure: frozen view + halves_[id] only.
+  /// Pure: frozen view + `id`'s own state only.
   [[nodiscard]] bool lost_support(HalfId id,
                                   std::vector<VoteGroup>& scratch) const;
   bool direct_pass(bool full_sweep);
@@ -314,16 +336,29 @@ class Engine {
   /// Canonical serialized engine state (the §4.6 repetition check compares
   /// these byte-for-byte; see core/convergence.h).
   [[nodiscard]] std::string state_signature() const;
-  /// Inverse of save_state(). Overwrites halves_/touched_/stats_/tracker_
-  /// and re-transcribes the whole frozen view from the restored state;
+  /// Inverse of save_state(). Overwrites the per-half state, its slabs
+  /// and flag lists, touched_, stats_ and tracker_, and re-transcribes the
+  /// whole frozen view from the restored state;
   /// throws CheckpointError on any malformed or mismatched blob (wrong
   /// version, half count differing from this graph, out-of-range ids,
-  /// truncation, trailing bytes). reset_state() must have run first.
+  /// inconsistent entry flags, truncation, trailing bytes). reset_state()
+  /// must have run first.
   void restore_state(const std::string& blob);
+  /// The run's inferences in (address, direction) order.
   [[nodiscard]] std::vector<Inference> collect(bool confident) const;
+  /// Result::final_mappings, in (address, direction) order.
+  [[nodiscard]] std::vector<std::pair<graph::InterfaceHalf, asdata::Asn>>
+  final_mappings() const;
   void snapshot(const std::string& label);
-  void clear_suppressions();
+  /// Clears `flag` on every half: on the halves `list` names, the only ones
+  /// where it can be set. Debug builds then check that no half still has it
+  /// (InvariantError), i.e. that no write site missed the list.
+  void clear_flags(std::vector<HalfId>& list, bool HalfState::*flag);
+  /// Sizes the slabs from the graph as it is now and empties the per-run
+  /// state; base mappings come from base_cache_ where it has the address.
   void reset_state();
+  /// Fills base_ / base_group_ and rebuilds base_cache_ (reset_state).
+  void resolve_base();
 
   const graph::InterfaceGraph& graph_;
   const bgp::Ip2As& ip2as_;
@@ -333,7 +368,19 @@ class Engine {
 
   // Flat slabs indexed by graph::HalfId.
   std::vector<HalfState> halves_;
-  std::vector<asdata::Asn> base_;          ///< base IP2AS, filled once up front
+  /// 1 while the half holds a direct inference (HalfState::direct is then
+  /// valid): what dual and inverse resolution and the remove step's scans
+  /// read, one byte per half.
+  std::vector<std::uint8_t> has_direct_;
+  /// The half whose direct inference propagated this half's indirect one
+  /// (§4.4.2; lifetime coupling), or kInvalidHalfId when it carries none.
+  std::vector<HalfId> indirect_source_;
+  /// Halves whose HalfState::suppressed / uncertain flag was set since the
+  /// flags were last cleared (an id may repeat): the resets walk these
+  /// instead of every half.
+  std::vector<HalfId> suppressed_list_;
+  std::vector<HalfId> uncertain_list_;
+  std::vector<asdata::Asn> base_;          ///< base IP2AS, filled per run
   std::vector<std::uint64_t> base_group_;  ///< sibling group key of base_
   std::vector<asdata::Asn> view_;          ///< frozen effective mapping
   std::vector<std::uint64_t> view_group_;  ///< sibling group key of view_
@@ -349,6 +396,18 @@ class Engine {
   std::vector<std::uint8_t> dirty_flag_;   ///< membership bit for dirty_
   std::vector<HalfId> dirty_;              ///< pending recount candidates
   std::vector<HalfId> work_;               ///< current pass's work list
+
+  /// One address's base mapping, as resolve_base caches it.
+  struct BaseEntry {
+    net::Ipv4Address address;
+    asdata::Asn asn = asdata::kUnknownAsn;
+    std::uint64_t group = 0;  ///< sibling group key; 0 when unannounced
+  };
+  /// Base mapping of every address the last run resolved, ascending by
+  /// address. Keyed by address, the one key a fold does not shift; valid
+  /// across runs because ip2as_ and orgs_ never change.
+  std::vector<BaseEntry> base_cache_;
+  std::vector<BaseEntry> next_cache_;  ///< resolve_base's build buffer
 
   /// Worker pool for the full-sweep passes; null when the resolved thread
   /// count is 1 (everything then runs inline on the caller).

@@ -29,10 +29,9 @@ void describe_half(std::ostream& out, const Result& result,
     const graph::InterfaceHalf nh{neighbor, nd};
     out << "    " << nh.to_string() << "  origin ";
     describe_asn(out, ip2as.origin(neighbor));
-    if (auto it = result.final_mappings.find(nh);
-        it != result.final_mappings.end()) {
+    if (const auto refined = result.final_mapping(nh)) {
       out << ", refined to ";
-      describe_asn(out, it->second);
+      describe_asn(out, *refined);
     }
     out << "\n";
   }

@@ -135,6 +135,29 @@ void verify_journal_meta(const CheckpointMeta& expected,
   }
 }
 
+/// Appends one record frame to `out`: `fill` appends the payload, then the
+/// frame's payload size and CRC are written in front of it.
+template <typename Fill>
+void append_frame(std::string& out, JournalRecord::Type type, Fill&& fill) {
+  const std::size_t start = out.size();
+  out.append(kJournalFrameSize, '\0');  // type set below; reserved stay zero
+  fill(out);
+  const std::string_view payload =
+      std::string_view(out).substr(start + kJournalFrameSize);
+  const auto size = static_cast<std::uint32_t>(payload.size());
+  const std::uint32_t crc = crc32(payload);
+  std::memcpy(out.data() + start, &size, sizeof(size));
+  std::memcpy(out.data() + start + sizeof(size), &crc, sizeof(crc));
+  out[start + 2 * sizeof(std::uint32_t)] =
+      static_cast<char>(static_cast<std::uint8_t>(type));
+}
+
+void append_trace_payload(std::string& out, std::uint64_t source_offset,
+                          std::string_view line) {
+  append_u64(out, source_offset);
+  out.append(line);
+}
+
 void write_all(int fd, std::string_view bytes, fault::Io& io,
                const std::string& path) {
   std::size_t written = 0;
@@ -204,39 +227,32 @@ std::string serialize_journal_header(const CheckpointMeta& meta) {
 }
 
 std::string serialize_journal_record(const JournalRecord& record) {
-  std::string payload;
-  switch (record.type) {
-    case JournalRecord::Type::kTrace:
-      payload.reserve(8 + record.line.size());
-      append_u64(payload, record.source_offset);
-      payload.append(record.line);
-      break;
-    case JournalRecord::Type::kCommit:
-      payload.reserve(24);
-      append_u64(payload, record.batch_seq);
-      append_u64(payload, record.traces_total);
-      append_u32(payload, record.snapshot_crc);
-      append_u32(payload, 0);  // reserved
-      break;
-    case JournalRecord::Type::kRemoteBatch:
-      append_u64(payload, record.batch_seq);
-      append_u64(payload, record.source_offset);
-      append_u16(payload, static_cast<std::uint16_t>(record.session.size()));
-      payload.append(record.session);
-      append_u32(payload, static_cast<std::uint32_t>(record.lines.size()));
-      for (const std::string& line : record.lines) {
-        append_u32(payload, static_cast<std::uint32_t>(line.size()));
-        payload.append(line);
-      }
-      break;
-  }
   std::string out;
-  out.reserve(kJournalFrameSize + payload.size());
-  append_u32(out, static_cast<std::uint32_t>(payload.size()));
-  append_u32(out, crc32(payload));
-  out.push_back(static_cast<char>(static_cast<std::uint8_t>(record.type)));
-  out.append(3, '\0');  // reserved
-  out.append(payload);
+  append_frame(out, record.type, [&](std::string& payload) {
+    switch (record.type) {
+      case JournalRecord::Type::kTrace:
+        append_trace_payload(payload, record.source_offset, record.line);
+        break;
+      case JournalRecord::Type::kCommit:
+        append_u64(payload, record.batch_seq);
+        append_u64(payload, record.traces_total);
+        append_u32(payload, record.snapshot_crc);
+        append_u32(payload, 0);  // reserved
+        break;
+      case JournalRecord::Type::kRemoteBatch:
+        append_u64(payload, record.batch_seq);
+        append_u64(payload, record.source_offset);
+        append_u16(payload,
+                   static_cast<std::uint16_t>(record.session.size()));
+        payload.append(record.session);
+        append_u32(payload, static_cast<std::uint32_t>(record.lines.size()));
+        for (const std::string& line : record.lines) {
+          append_u32(payload, static_cast<std::uint32_t>(line.size()));
+          payload.append(line);
+        }
+        break;
+    }
+  });
   return out;
 }
 
@@ -387,6 +403,17 @@ JournalWriter::~JournalWriter() {
 
 void JournalWriter::append(const JournalRecord& record) {
   const std::string bytes = serialize_journal_record(record);
+  write_all(fd_, bytes, *io_, path_);
+  size_ += bytes.size();
+}
+
+void JournalWriter::append_traces(std::span<const TraceLine> lines) {
+  std::string bytes;
+  for (const TraceLine& trace : lines) {
+    append_frame(bytes, JournalRecord::Type::kTrace, [&](std::string& out) {
+      append_trace_payload(out, trace.source_offset, trace.line);
+    });
+  }
   write_all(fd_, bytes, *io_, path_);
   size_ += bytes.size();
 }

@@ -49,6 +49,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -157,6 +158,13 @@ struct JournalContents {
 /// durability point callers invoke at each batch watermark.
 class JournalWriter {
  public:
+  /// One accepted trace line for append_traces: what JournalRecord::trace
+  /// holds, without copying the line.
+  struct TraceLine {
+    std::uint64_t source_offset = 0;
+    std::string_view line;
+  };
+
   /// Opens `path`, creating it with `meta` when absent. An existing file
   /// is replayed (into *replayed when non-null), its identity block is
   /// verified against `meta` (mismatch: JournalError), and a torn tail is
@@ -174,6 +182,11 @@ class JournalWriter {
 
   /// Writes one record through to the kernel (not yet durable).
   void append(const JournalRecord& record);
+
+  /// Writes one trace record per line, in order, in a single write: the
+  /// same bytes as append(JournalRecord::trace(...)) line by line. Like
+  /// append(), a failure can leave part of the batch on disk.
+  void append_traces(std::span<const TraceLine> lines);
 
   /// fsyncs everything appended so far — the batch commit point.
   void sync();

@@ -1,27 +1,41 @@
 #include "core/links.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <utility>
 
 namespace mapit::core {
 
 std::vector<InterAsLink> aggregate_links(const Result& result,
                                          const graph::InterfaceGraph& graph) {
-  // Key each inference by the unordered {address, other-side} pair.
-  std::map<std::pair<net::Ipv4Address, net::Ipv4Address>, InterAsLink> links;
-
-  for (const Inference& inference : result.inferences) {
-    const net::Ipv4Address address = inference.half.address;
+  // Key each inference by the unordered {address, other-side} pair, packed
+  // as low << 32 | high. Sorted (key, inference index) pairs put the links
+  // in (low, high) order and each link's inferences in result order.
+  const std::vector<Inference>& inferences = result.inferences;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  keyed.reserve(inferences.size());
+  for (std::size_t i = 0; i < inferences.size(); ++i) {
+    const net::Ipv4Address address = inferences[i].half.address;
     const net::Ipv4Address other =
         graph.other_sides().other_address(address);
-    const auto key = address < other ? std::make_pair(address, other)
-                                     : std::make_pair(other, address);
-    auto [it, inserted] = links.try_emplace(key);
-    InterAsLink& link = it->second;
-    if (inserted) {
-      link.low = key.first;
-      link.high = key.second;
+    const net::Ipv4Address low = address < other ? address : other;
+    const net::Ipv4Address high = address < other ? other : address;
+    keyed.emplace_back(std::uint64_t{low.value()} << 32 | high.value(),
+                       static_cast<std::uint32_t>(i));
+  }
+  std::sort(keyed.begin(), keyed.end());
+
+  std::vector<InterAsLink> out;
+  out.reserve(keyed.size());  // at most one link per inference
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    const auto [key, index] = keyed[i];
+    if (i == 0 || keyed[i - 1].first != key) {
+      InterAsLink& link = out.emplace_back();
+      link.low = net::Ipv4Address(static_cast<std::uint32_t>(key >> 32));
+      link.high = net::Ipv4Address(static_cast<std::uint32_t>(key));
     }
+    InterAsLink& link = out.back();
+    const Inference& inference = inferences[index];
     ++link.supporting_inferences;
     const auto pair = inference.as_pair();
     const bool stronger = link.neighbor_count == 0 ||
@@ -38,11 +52,7 @@ std::vector<InterAsLink> aggregate_links(const Result& result,
     }
     link.via_stub_heuristic |= inference.kind == InferenceKind::kStub;
   }
-
-  std::vector<InterAsLink> out;
-  out.reserve(links.size());
-  for (auto& [_, link] : links) out.push_back(link);
-  return out;  // std::map iteration is already (low, high) ordered
+  return out;
 }
 
 }  // namespace mapit::core

@@ -46,16 +46,25 @@ void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
   corpus.graph.fold(sanitized.clean, corpus.addresses, options_.threads);
 }
 
+core::Result IngestPipeline::run() {
+  if (!engine_) {
+    engine_ = std::make_unique<core::Engine>(base_->corpus.graph, base_->ip2as,
+                                             base_->orgs, base_->rels,
+                                             options_);
+  }
+  return engine_->run();
+}
+
 store::WriteInfo IngestPipeline::publish(const std::string& path,
                                          fault::Io& io) {
-  const core::Result result = base_->run(options_);
+  const core::Result result = run();
   const store::SnapshotData data =
       store::make_snapshot_data(result, base_->corpus.graph, base_->ip2as);
   return store::write_snapshot_file(data, path, io);
 }
 
-std::string IngestPipeline::serialize() const {
-  const core::Result result = base_->run(options_);
+std::string IngestPipeline::serialize() {
+  const core::Result result = run();
   return store::serialize_snapshot(
       store::make_snapshot_data(result, base_->corpus.graph, base_->ip2as));
 }

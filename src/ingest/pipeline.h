@@ -9,11 +9,13 @@
 // merged into the corpus-wide address population (the §4.2 other-side
 // heuristic deliberately sees discarded traces too), and the graph is
 // folded via InterfaceGraph::fold. Publishing runs the full multipass
-// engine cold over the folded graph — the engine's passes are
-// history-dependent, so re-running from scratch per batch is the only
-// recompute that preserves byte-identical equivalence with a cold batch
-// run; the incremental part is never re-parsing, re-sanitizing, or
-// re-folding the base.
+// engine over the folded graph from empty per-run state — the engine's
+// passes are history-dependent, so re-running from scratch per batch is
+// the only recompute that preserves byte-identical equivalence with a cold
+// batch run; the incremental part is never re-parsing, re-sanitizing, or
+// re-folding the base. The pipeline keeps one engine for its lifetime, so
+// its thread pool, its buffers and the base IP2AS mappings of addresses
+// already seen survive from one publish to the next.
 //
 // Equivalence invariant (the subsystem's signature property, pinned by
 // tests/integration/ingest_equivalence_test.cpp): after folding deltas D
@@ -67,6 +69,10 @@ class IngestPipeline {
   /// Folds one batch of raw (unsanitized) delta traces into the graph.
   void fold(const trace::TraceCorpus& raw_delta);
 
+  /// Runs the pipeline's engine over the folded graph. Equal to a fresh
+  /// engine's run over the same graph.
+  [[nodiscard]] core::Result run();
+
   /// Runs the engine over the folded graph and atomically publishes the
   /// snapshot to `path`. Byte-identical for identical folded content,
   /// any thread count, any fold batching.
@@ -75,7 +81,11 @@ class IngestPipeline {
 
   /// Serialized snapshot bytes for the current folded state (tests compare
   /// these against a cold run's without touching the filesystem).
-  [[nodiscard]] std::string serialize() const;
+  [[nodiscard]] std::string serialize();
+
+  /// The loaded base run; its graph and address population include every
+  /// fold so far.
+  [[nodiscard]] const core::RunInputs& inputs() const { return *base_; }
 
   [[nodiscard]] std::size_t interfaces() const {
     return base_->corpus.graph.size();
@@ -97,6 +107,8 @@ class IngestPipeline {
   /// which then holds the distinct raw addresses of base plus every delta
   /// so far (the §4.2 witness population).
   std::unique_ptr<core::RunInputs> base_;
+  /// The engine over base_'s graph, created by the first run().
+  std::unique_ptr<core::Engine> engine_;
   core::CheckpointMeta meta_;
   std::size_t delta_traces_ = 0;
 };

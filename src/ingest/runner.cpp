@@ -345,12 +345,14 @@ IngestStats run_ingest(const IngestOptions& options,
         // WAL order: accepted lines become durable before the fold that
         // consumes them; the commit record lands only after the snapshot
         // rename. A crash anywhere in between replays into identical
-        // state.
+        // state. The batch's records go out in one write.
+        std::vector<core::JournalWriter::TraceLine> lines;
+        lines.reserve(flush.inflight.size());
         for (const PendingLine& entry : flush.inflight) {
           if (entry.journaled) continue;  // remote lines are durable already
-          writer.append(
-              core::JournalRecord::trace(entry.offset, entry.line));
+          lines.push_back({entry.offset, entry.line});
         }
+        writer.append_traces(lines);
         writer.sync();
         flush.journal_dirty = false;
         flush.stage = Stage::kFold;

@@ -97,6 +97,8 @@ SnapshotData make_snapshot_data(const core::Result& result,
                                 const bgp::Ip2As& ip2as) {
   SnapshotData data;
 
+  // Both lists are in (address, direction) order and name disjoint
+  // halves, so one merge orders the section.
   data.inferences.reserve(result.inferences.size() + result.uncertain.size());
   for (const core::Inference& inference : result.inferences) {
     data.inferences.push_back(to_record(inference));
@@ -106,10 +108,14 @@ SnapshotData make_snapshot_data(const core::Result& result,
     record.flags |= kInferenceUncertain;
     data.inferences.push_back(record);
   }
-  std::sort(data.inferences.begin(), data.inferences.end(),
-            [](const InferenceRecord& a, const InferenceRecord& b) {
-              return inference_key(a) < inference_key(b);
-            });
+  std::inplace_merge(
+      data.inferences.begin(),
+      data.inferences.begin() +
+          static_cast<std::ptrdiff_t>(result.inferences.size()),
+      data.inferences.end(),
+      [](const InferenceRecord& a, const InferenceRecord& b) {
+        return inference_key(a) < inference_key(b);
+      });
 
   for (const core::InterAsLink& link : core::aggregate_links(result, graph)) {
     data.links.push_back(to_record(link));
@@ -122,6 +128,7 @@ SnapshotData make_snapshot_data(const core::Result& result,
   data.bgp_prefixes = prefix_records(ip2as.bgp_entries());
   data.fallback_prefixes = prefix_records(ip2as.fallback_entries());
 
+  // Already in (address, direction) order; serialize_snapshot checks it.
   data.mappings.reserve(result.final_mappings.size());
   for (const auto& [half, asn] : result.final_mappings) {
     MappingRecord record{};
@@ -131,10 +138,6 @@ SnapshotData make_snapshot_data(const core::Result& result,
         static_cast<std::uint8_t>(graph::direction_bit(half.direction));
     data.mappings.push_back(record);
   }
-  std::sort(data.mappings.begin(), data.mappings.end(),
-            [](const MappingRecord& a, const MappingRecord& b) {
-              return mapping_key(a) < mapping_key(b);
-            });
   return data;
 }
 

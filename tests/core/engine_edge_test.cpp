@@ -2,6 +2,8 @@
 // other-side accounting, final-mapping exposure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/engine.h"
 #include "test_util.h"
 
@@ -58,12 +60,14 @@ TEST(EngineEdge, FinalMappingsRecordRefinements) {
   const Result result = world.run();
   const graph::InterfaceHalf half =
       graph::forward_half(testutil::addr("1.0.0.10"));
-  auto it = result.final_mappings.find(half);
-  ASSERT_NE(it, result.final_mappings.end());
-  EXPECT_EQ(it->second, 200u);
+  EXPECT_EQ(result.final_mapping(half), 200u);
   // The other side's backward half carries the indirect update too.
-  EXPECT_TRUE(result.final_mappings.contains(
+  EXPECT_TRUE(result.final_mapping(
       graph::backward_half(testutil::addr("1.0.0.9"))));
+  // The list is in (address, direction) order.
+  EXPECT_TRUE(std::is_sorted(
+      result.final_mappings.begin(), result.final_mappings.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
 }
 
 TEST(EngineEdge, DivergentOtherSidesAreCounted) {

@@ -347,8 +347,7 @@ TEST(EngineMechanism, DemotionPreservesLiveIndirectInference) {
   // …so the demoted half must end up mapped to its AS400, not keep a
   // stale copy of its own withdrawn AS200 inference.
   const graph::InterfaceHalf x{addr("11.0.0.1"), Direction::kForward};
-  ASSERT_TRUE(result.final_mappings.contains(x));
-  EXPECT_EQ(result.final_mappings.at(x), 400u);
+  EXPECT_EQ(result.final_mapping(x), 400u);
 }
 
 TEST(EngineMechanism, DemotionsAndRemovalsAreCounted) {

@@ -180,7 +180,7 @@ class DegradedIngestTest : public ::testing::Test {
     setup.traces_path = full_path_;
     setup.rib_path = rib_path_;
     setup.options.threads = 1;
-    const ingest::IngestPipeline pipeline(setup);
+    ingest::IngestPipeline pipeline(setup);
     EXPECT_GT(pipeline.interfaces(), 0u);
     std::string cold = pipeline.serialize();
     setup.traces_path = base_path_;

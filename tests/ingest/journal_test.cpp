@@ -256,6 +256,45 @@ TEST_F(JournalTest, ShortWritesStillAppendEverything) {
   EXPECT_EQ(read_journal(path_).records, sample_records());
 }
 
+TEST_F(JournalTest, TraceBatchIsOneWriteOfThePerRecordBytes) {
+  std::vector<std::string> lines;
+  std::vector<JournalWriter::TraceLine> batch;
+  for (int i = 0; i < 1000; ++i) {
+    lines.push_back("m 11.0." + std::to_string(i / 250) + "." +
+                    std::to_string(i % 250) + " 11.1.0.1 d");
+  }
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    batch.push_back({i == 7 ? kNoSourceOffset : 40 * i, lines[i]});
+  }
+
+  const std::string per_record = (dir_ / "per_record.jnl").string();
+  fault::FaultPlan record_plan;
+  JournalWriter records = JournalWriter::open(per_record, meta_a(), nullptr,
+                                              record_plan);
+  const std::uint64_t record_before = record_plan.calls(fault::Op::kWrite);
+  for (const JournalWriter::TraceLine& trace : batch) {
+    records.append(
+        JournalRecord::trace(trace.source_offset, std::string(trace.line)));
+  }
+  EXPECT_EQ(record_plan.calls(fault::Op::kWrite) - record_before, 1000u);
+  records.close();
+
+  fault::FaultPlan batch_plan;
+  JournalWriter writer =
+      JournalWriter::open(path_, meta_a(), nullptr, batch_plan);
+  const std::uint64_t batch_before = batch_plan.calls(fault::Op::kWrite);
+  writer.append_traces(batch);
+  EXPECT_EQ(batch_plan.calls(fault::Op::kWrite) - batch_before, 1u);
+  EXPECT_EQ(writer.size(), records.size());
+  writer.close();
+
+  EXPECT_EQ(read_file(path_), read_file(per_record));
+  const JournalContents contents = read_journal(path_);
+  ASSERT_EQ(contents.records.size(), lines.size());
+  EXPECT_EQ(contents.records[7],
+            JournalRecord::trace(kNoSourceOffset, lines[7]));
+}
+
 TEST_F(JournalTest, EnospcSurfacesAsJournalError) {
   fault::FaultPlan plan;
   plan.add(fault::Fault{.op = fault::Op::kWrite, .nth = 3,

@@ -343,7 +343,7 @@ class RemoteIngestTest : public ::testing::Test {
     setup.traces_path = traces_path;
     setup.rib_path = rib_path_;
     setup.options.threads = threads;
-    const ingest::IngestPipeline pipeline(setup);
+    ingest::IngestPipeline pipeline(setup);
     return pipeline.serialize();
   }
 

@@ -7,11 +7,16 @@
 // pins that argument empirically: byte-identical serialized inference
 // output and equal engine stats across both experiment scales, the f
 // operating points evaluated in the paper (§5.3), and both remove rules.
+// ResidentEngineTest pins one Engine reused across graph folds against
+// fresh runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/result_io.h"
@@ -155,6 +160,153 @@ TEST_P(EngineEquivalenceTest, ParallelIngestionMatchesSequential) {
                              par_rev.end()))
           << label << " reverse span mismatch at id " << id;
     }
+  }
+}
+
+// A resident engine — one Engine reused over a graph folded between runs,
+// as IngestPipeline keeps one per session — must equal a fresh run after
+// every fold: each run sizes its slabs from the grown graph, its cached
+// base mappings are keyed by address (a fold shifts HalfIds), and its
+// per-run state starts empty.
+class ResidentEngineTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    exp_ = eval::Experiment::build(eval::ExperimentConfig::small());
+    const std::vector<trace::Trace>& raw = exp_->raw_corpus().traces();
+    base_end_ = raw.size() / 4;
+    const trace::SanitizeResult base = trace::sanitize(slice(0, base_end_), 1);
+    population_ = base.addresses;
+    graph_ = std::make_unique<graph::InterfaceGraph>(base.clean, population_,
+                                                     1);
+  }
+
+  [[nodiscard]] trace::TraceCorpus slice(std::size_t begin,
+                                         std::size_t end) const {
+    const std::vector<trace::Trace>& raw = exp_->raw_corpus().traces();
+    return trace::TraceCorpus(std::vector<trace::Trace>(
+        raw.begin() + static_cast<std::ptrdiff_t>(begin),
+        raw.begin() + static_cast<std::ptrdiff_t>(end)));
+  }
+
+  /// Folds raw traces [begin, end) into the graph as IngestPipeline::fold
+  /// does: the raw addresses join the §4.2 population, the sanitized
+  /// traces the graph.
+  void fold(std::size_t begin, std::size_t end) {
+    const trace::SanitizeResult delta = trace::sanitize(slice(begin, end), 1);
+    const std::size_t old_size = population_.size();
+    population_.insert(population_.end(), delta.addresses.begin(),
+                       delta.addresses.end());
+    std::inplace_merge(population_.begin(),
+                       population_.begin() +
+                           static_cast<std::ptrdiff_t>(old_size),
+                       population_.end());
+    population_.erase(std::unique(population_.begin(), population_.end()),
+                      population_.end());
+    graph_->fold(delta.clean, population_, 1);
+  }
+
+  [[nodiscard]] std::unique_ptr<core::Engine> engine(
+      const core::Options& options) const {
+    return std::make_unique<core::Engine>(*graph_, exp_->ip2as(), exp_->orgs(),
+                                          exp_->relationships(), options);
+  }
+
+  [[nodiscard]] core::Result fresh(const core::Options& options) const {
+    return core::run_mapit(*graph_, exp_->ip2as(), exp_->orgs(),
+                           exp_->relationships(), options);
+  }
+
+  static void expect_same(const core::Result& resident,
+                          const core::Result& fresh,
+                          const std::string& label) {
+    EXPECT_FALSE(fresh.inferences.empty()) << label;
+    EXPECT_EQ(serialize(resident), serialize(fresh)) << label;
+    EXPECT_EQ(resident.stats, fresh.stats) << label;
+    EXPECT_EQ(resident.final_mappings, fresh.final_mappings) << label;
+  }
+
+  std::unique_ptr<eval::Experiment> exp_;
+  std::size_t base_end_ = 0;
+  std::vector<net::Ipv4Address> population_;
+  std::unique_ptr<graph::InterfaceGraph> graph_;
+};
+
+TEST_F(ResidentEngineTest, ReusedEngineMatchesFreshRunAfterEveryFold) {
+  std::vector<core::Options> options(3);
+  std::vector<std::unique_ptr<core::Engine>> engines;
+  for (std::size_t i = 0; i < options.size(); ++i) {
+    options[i].threads = std::vector<unsigned>{1, 2, 8}[i];
+    engines.push_back(engine(options[i]));
+  }
+  const auto compare = [&](const std::string& label) {
+    for (std::size_t i = 0; i < engines.size(); ++i) {
+      expect_same(engines[i]->run(), fresh(options[i]),
+                  label + " threads=" + std::to_string(options[i].threads));
+    }
+  };
+  compare("base");
+
+  // The folds must exercise what shifts HalfIds and base mappings: a
+  // phantom (an other side seen in no adjacency) turning into a record,
+  // and a new witness changing an existing record's other side.
+  bool phantom_became_record = false;
+  bool other_side_changed = false;
+  const std::size_t total = exp_->raw_corpus().size();
+  const std::size_t batch = (total - base_end_) / 6 + 1;
+  for (std::size_t at = base_end_; at < total; at += batch) {
+    std::vector<net::Ipv4Address> phantoms;
+    for (std::size_t id = graph_->record_half_count();
+         id < graph_->half_count(); id += 2) {
+      phantoms.push_back(graph_->address_at(static_cast<graph::HalfId>(id)));
+    }
+    std::vector<std::pair<net::Ipv4Address, net::Ipv4Address>> other_sides;
+    for (const graph::InterfaceRecord& record : graph_->interfaces()) {
+      other_sides.emplace_back(record.address, record.other_side.address);
+    }
+
+    fold(at, std::min(total, at + batch));
+
+    for (net::Ipv4Address phantom : phantoms) {
+      phantom_became_record |= graph_->find(phantom) != nullptr;
+    }
+    for (const auto& [address, other] : other_sides) {
+      other_side_changed |= graph_->find(address)->other_side.address != other;
+    }
+    compare("fold at trace " + std::to_string(at));
+  }
+  EXPECT_TRUE(phantom_became_record);
+  EXPECT_TRUE(other_side_changed);
+}
+
+// Checkpoint resume through a resident engine: stopped at each of the
+// first boundaries of a run over a folded graph, saved, and resumed in the
+// same engine, the run equals a fresh uninterrupted one.
+TEST_F(ResidentEngineTest, CheckpointResumeThroughReusedEngine) {
+  core::Options options;
+  options.threads = 2;
+  const std::unique_ptr<core::Engine> resident = engine(options);
+  (void)resident->run();  // sized and cached for the base graph
+  fold(base_end_, exp_->raw_corpus().size());
+  const core::Result reference = fresh(options);
+
+  for (int stop_at = 1; stop_at <= 3; ++stop_at) {
+    std::string blob;
+    int boundaries = 0;
+    core::RunControl stop;
+    stop.on_boundary = [&](core::RunBoundary, int) {
+      if (++boundaries < stop_at) return true;
+      blob = resident->save_state();
+      return false;
+    };
+    const core::RunOutcome stopped = resident->run_controlled(stop);
+    ASSERT_FALSE(stopped.completed()) << "stop " << stop_at;
+
+    core::RunControl resume;
+    resume.resume_state = &blob;
+    resume.resume_boundary = stopped.stopped_at;
+    const core::RunOutcome resumed = resident->run_controlled(resume);
+    ASSERT_TRUE(resumed.completed()) << "stop " << stop_at;
+    expect_same(*resumed.result, reference, "stop " + std::to_string(stop_at));
   }
 }
 

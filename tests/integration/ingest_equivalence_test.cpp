@@ -115,7 +115,7 @@ class IngestEquivalenceTest : public ::testing::Test {
   /// against vacuity: the cold graph has records, and the base-only
   /// snapshot differs from it, so matching it proves the deltas landed.
   std::string cold_bytes(unsigned threads) const {
-    const ingest::IngestPipeline pipeline(setup(full_path_, threads));
+    ingest::IngestPipeline pipeline(setup(full_path_, threads));
     EXPECT_GT(pipeline.interfaces(), 0u);
     std::string cold = pipeline.serialize();
     EXPECT_NE(cold,
@@ -294,6 +294,39 @@ TEST_F(IngestEquivalenceTest, CrashAtEveryInjectedSyscallThenResume) {
     }
   }
   EXPECT_GE(crash_points, 12);
+}
+
+// The journal stage writes one batch's trace records in a single write, so
+// a session's write count does not grow with the lines in its batch.
+TEST_F(IngestEquivalenceTest, JournalWritesABatchInOneWrite) {
+  const std::vector<std::string> delta(
+      lines_.begin() + static_cast<std::ptrdiff_t>(base_count_),
+      lines_.end());
+  const auto drain_writes = [&](std::size_t count) {
+    std::vector<std::string> follow_lines;
+    while (follow_lines.size() < count) {
+      follow_lines.push_back(delta[follow_lines.size() % delta.size()]);
+    }
+    const std::string follow = (dir_ / "delta_follow.txt").string();
+    write_lines(follow, follow_lines);
+    fs::remove(dir_ / "delta.jnl");
+    ingest::IngestOptions options;
+    options.traces_path = base_path_;
+    options.rib_path = rib_path_;
+    options.engine_options.threads = 1;
+    options.journal_path = (dir_ / "delta.jnl").string();
+    options.out_path = (dir_ / "live.snap").string();
+    options.follow_path = follow;
+    options.drain = true;
+    options.batch_lines = 1000;
+    fault::FaultPlan counter;
+    options.io = &counter;
+    const ingest::IngestStats stats = ingest::run_ingest(options);
+    EXPECT_EQ(stats.batches, 1u) << count << " lines";
+    EXPECT_EQ(stats.folded_traces, count);
+    return counter.calls(fault::Op::kWrite);
+  };
+  EXPECT_EQ(drain_writes(1000), drain_writes(2));
 }
 
 TEST_F(IngestEquivalenceTest, LenientQuarantinesDeltaGarbageStrictThrows) {
