@@ -96,19 +96,41 @@ BENCHMARK(BM_InterfaceGraphBuild)->Unit(benchmark::kMillisecond);
 // The one streaming pass the CLI and the ingest base load run, from the
 // same text as BM_ReadCorpus to the graph: the fused counterpart of
 // BM_ReadCorpus + BM_Sanitize + BM_InterfaceGraphBuild.
-void BM_ReadGraph(benchmark::State& state) {
-  const auto& experiment = shared_experiment();
-  std::ostringstream out;
-  trace::write_corpus(out, experiment.raw_corpus());
-  const std::string text = out.str();
+void read_graph_of(benchmark::State& state, const std::string& text) {
   for (auto _ : state) {
     std::istringstream in(text);
     benchmark::DoNotOptimize(graph::read_graph(in).graph.size());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(experiment.raw_corpus().size()));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(shared_experiment().raw_corpus().size()));
+}
+
+std::string standard_text() {
+  std::ostringstream out;
+  trace::write_corpus(out, shared_experiment().raw_corpus());
+  return out.str();
+}
+
+void BM_ReadGraph(benchmark::State& state) {
+  read_graph_of(state, standard_text());
 }
 BENCHMARK(BM_ReadGraph)->Unit(benchmark::kMillisecond);
+
+// The same lines in a fixed random order: consecutive lines rarely share
+// their first hops, so the scanner's reuse of the previous line seldom
+// fires. This guards the cost of an input in no useful order.
+void BM_ReadGraphShuffled(benchmark::State& state) {
+  std::istringstream in(standard_text());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::mt19937_64 rng(2016);
+  std::shuffle(lines.begin(), lines.end(), rng);
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  read_graph_of(state, text);
+}
+BENCHMARK(BM_ReadGraphShuffled)->Unit(benchmark::kMillisecond);
 
 // One ingest fold, as `mapit ingest` folds each 1,000-trace batch: sanitize
 // the delta, merge its addresses into the witness population, fold it into

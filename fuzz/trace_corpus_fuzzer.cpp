@@ -8,7 +8,10 @@
 // for line-level damage — it quarantines into the LoadReport instead. The
 // streaming load must agree with the corpus path (read_corpus -> sanitize
 // -> InterfaceGraph): the same accept/reject outcome and error text, the
-// same LoadReport and the same graph records; a disagreement aborts.
+// same LoadReport, the same SanitizeStats and the same graph records. Both
+// scan with reuse of the previous line, so read_corpus must also agree
+// with parse_trace called on each line alone, which reuses nothing. A
+// disagreement aborts.
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +19,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "graph/interface_graph.h"
 #include "net/error.h"
@@ -60,6 +66,42 @@ bool same_report(const LoadReport& a, const LoadReport& b) {
   return true;
 }
 
+bool same_stats(const trace::SanitizeStats& a, const trace::SanitizeStats& b) {
+  return a.input_traces == b.input_traces &&
+         a.discarded_traces == b.discarded_traces &&
+         a.removed_ttl0_hops == b.removed_ttl0_hops &&
+         a.input_addresses == b.input_addresses &&
+         a.retained_addresses == b.retained_addresses;
+}
+
+/// What read_corpus must return, from parse_trace on each line alone:
+/// lines end at '\n', comments and blank lines are skipped, and a bad line
+/// throws (strict, `report == nullptr`) or is recorded with its position.
+trace::TraceCorpus per_line_corpus(const std::string& text,
+                                   LoadReport* report) {
+  std::vector<trace::Trace> traces;
+  std::size_t line_no = 0;
+  for (std::size_t at = 0; at < text.size();) {
+    std::size_t end = text.find('\n', at);
+    if (end == std::string::npos) end = text.size();
+    const std::string_view line(text.data() + at, end - at);
+    const std::size_t offset = at;
+    at = end + 1;
+    ++line_no;
+    if (line.empty() || line[0] == '#') continue;
+    try {
+      traces.push_back(trace::parse_trace(
+          line, "trace line " + std::to_string(line_no) + " (byte " +
+                    std::to_string(offset) + ")"));
+    } catch (const ParseError& e) {
+      if (report == nullptr) throw;
+      report->record(line_no, offset, e.what());
+    }
+  }
+  if (report != nullptr) report->add_loaded(traces.size());
+  return trace::TraceCorpus(std::move(traces));
+}
+
 bool same_records(const graph::InterfaceGraph& a,
                   const graph::InterfaceGraph& b) {
   if (a.size() != b.size() || a.half_count() != b.half_count()) return false;
@@ -88,11 +130,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     (void)graph::read_graph(in, /*threads=*/1);
   });
   require(corpus_error == graph_error);
+  std::optional<std::string> per_line_error;
+  try {
+    (void)per_line_corpus(text, nullptr);
+  } catch (const Error& e) {
+    per_line_error = e.what();
+  }
+  require(corpus_error == per_line_error);
 
   std::istringstream corpus_in(text);
   LoadReport corpus_report;
-  const trace::SanitizeResult sanitized = trace::sanitize(
-      trace::read_corpus(corpus_in, /*threads=*/1, &corpus_report));
+  trace::TraceCorpus corpus =
+      trace::read_corpus(corpus_in, /*threads=*/1, &corpus_report);
+  LoadReport per_line_report;
+  require(corpus.traces() ==
+          per_line_corpus(text, &per_line_report).traces());
+  require(same_report(corpus_report, per_line_report));
+  const trace::SanitizeResult sanitized = trace::sanitize(std::move(corpus));
   // Exercise the quarantine summary formatting too.
   (void)corpus_report.summary("traces");
   const graph::InterfaceGraph graph(sanitized.clean, sanitized.addresses);
@@ -103,7 +157,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       graph::read_graph(stream_in, /*threads=*/1, &stream_report);
   require(same_report(corpus_report, stream_report));
   require(loaded.addresses == sanitized.addresses);
-  require(loaded.stats.input_traces == sanitized.stats.input_traces);
+  require(same_stats(loaded.stats, sanitized.stats));
   require(same_records(loaded.graph, graph));
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "graph/interface_graph.h"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "net/error.h"
@@ -33,10 +32,12 @@ const std::vector<net::Ipv4Address>& empty_neighbors() {
 }
 
 /// The per-trace step of pair gathering: adds the adjacencies of `trace`
-/// to `pairs`, each as one key however often it recurs.
-void add_adjacencies(const trace::Trace& trace, net::FlatSet64& pairs) {
+/// to `pairs`, each as one key however often it recurs. Those between its
+/// first `known` hops are skipped: `pairs` holds them already.
+void add_adjacencies(const trace::Trace& trace, net::FlatSet64& pairs,
+                     std::size_t known) {
   const std::vector<trace::TraceHop>& hops = trace.hops;
-  for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
+  for (std::size_t i = known > 0 ? known - 1 : 0; i + 1 < hops.size(); ++i) {
     const trace::TraceHop& a = hops[i];
     const trace::TraceHop& b = hops[i + 1];
     if (!a.address || !b.address) continue;  // null hops break adjacency
@@ -75,19 +76,17 @@ std::vector<Pair> sorted_pairs(std::span<net::FlatSet64> sets) {
 }
 
 /// The sorted unique adjacencies of `corpus` that enter neighbour sets.
-/// Workers dedupe the occurrences of disjoint trace ranges into flat sets.
+/// The workers of `pool` (nullptr: the caller alone) dedupe the
+/// occurrences of disjoint trace ranges into flat sets.
 std::vector<Pair> gather_pairs(const trace::TraceCorpus& corpus,
-                               unsigned threads) {
+                               parallel::ThreadPool* pool) {
   const std::vector<trace::Trace>& traces = corpus.traces();
-  const unsigned resolved = parallel::resolve_threads(threads);
-  std::optional<parallel::ThreadPool> pool;
-  if (resolved > 1 && traces.size() > 1) pool.emplace(resolved);
   std::vector<net::FlatSet64> sets(pool ? pool->size() : 1);
   parallel::for_ranges(
-      pool ? &*pool : nullptr, traces.size(),
+      pool, traces.size(),
       [&](unsigned worker, std::size_t begin, std::size_t end) {
         for (std::size_t t = begin; t < end; ++t) {
-          add_adjacencies(traces[t], sets[worker]);
+          add_adjacencies(traces[t], sets[worker], 0);
         }
       });
   return sorted_pairs(sets);
@@ -129,7 +128,10 @@ void merge_neighbors(std::vector<net::Ipv4Address>& list,
 InterfaceGraph::InterfaceGraph(const trace::TraceCorpus& sanitized,
                                std::span<const net::Ipv4Address> all_addresses,
                                unsigned threads)
-    : InterfaceGraph(gather_pairs(sanitized, threads), all_addresses) {}
+    : InterfaceGraph(
+          gather_pairs(sanitized,
+                       parallel::pool_for(threads, sanitized.size()).get()),
+          all_addresses) {}
 
 InterfaceGraph::InterfaceGraph(std::span<const Pair> pairs,
                                std::span<const net::Ipv4Address> all_addresses)
@@ -143,12 +145,17 @@ LoadedGraph read_graph(std::istream& in, unsigned threads,
   const unsigned workers = parallel::resolve_threads(threads);
   std::vector<trace::SanitizeTally> tallies(workers);
   std::vector<net::FlatSet64> pairs(workers);
-  trace::scan_traces(in, workers, report,
-                     [&](unsigned worker, trace::Trace& trace) {
-                       if (trace::sanitize_trace(trace, tallies[worker])) {
-                         add_adjacencies(trace, pairs[worker]);
-                       }
-                     });
+  // A trace's first `shared` hops repeat the trace its worker visited
+  // before, so the tally skips their repeated inserts and the pair set
+  // the adjacencies that trace already added.
+  trace::scan_traces(
+      in, workers, report,
+      [&](unsigned worker, trace::Trace& trace, std::size_t shared) {
+        trace::SanitizeTally& tally = tallies[worker];
+        if (trace::sanitize_trace(trace, tally, shared)) {
+          add_adjacencies(trace, pairs[worker], tally.repeated_hops);
+        }
+      });
   std::vector<net::Ipv4Address> addresses;
   const trace::SanitizeStats stats = trace::merge_tallies(tallies, addresses);
   InterfaceGraph graph(sorted_pairs(pairs), addresses);
@@ -158,12 +165,19 @@ LoadedGraph read_graph(std::istream& in, unsigned threads,
 void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
                           std::span<const net::Ipv4Address> all_addresses,
                           unsigned threads) {
+  fold(sanitized_delta, all_addresses,
+       parallel::pool_for(threads, sanitized_delta.size()).get());
+}
+
+void InterfaceGraph::fold(const trace::TraceCorpus& sanitized_delta,
+                          std::span<const net::Ipv4Address> all_addresses,
+                          parallel::ThreadPool* pool) {
   // The §4.2 other-side heuristic is population-sensitive: a delta address
   // can flip an *existing* record's /30-vs-/31 decision by witnessing the
   // other half of its prefix, so the dense layout below recomputes every
   // record's other side over the merged population.
   other_sides_ = OtherSideMap(all_addresses);
-  std::vector<Pair> pairs = gather_pairs(sanitized_delta, threads);
+  std::vector<Pair> pairs = gather_pairs(sanitized_delta, pool);
   std::erase_if(pairs, [&](Pair pair) {
     const InterfaceRecord* record = find(high(pair));
     return record != nullptr && std::binary_search(record->forward.begin(),

@@ -21,6 +21,10 @@
 #include "trace/sanitize.h"
 #include "trace/trace.h"
 
+namespace mapit::parallel {
+class ThreadPool;
+}  // namespace mapit::parallel
+
 namespace mapit::graph {
 
 struct LoadedGraph;
@@ -100,6 +104,13 @@ class InterfaceGraph {
   void fold(const trace::TraceCorpus& sanitized_delta,
             std::span<const net::Ipv4Address> all_addresses,
             unsigned threads = 1);
+
+  /// The same fold on a caller-owned pool (nullptr: the calling thread
+  /// alone), so that a caller folding batch after batch starts its workers
+  /// once.
+  void fold(const trace::TraceCorpus& sanitized_delta,
+            std::span<const net::Ipv4Address> all_addresses,
+            parallel::ThreadPool* pool);
 
   /// The record for `address`, or nullptr when the address never appeared
   /// adjacent to another address.
@@ -219,8 +230,10 @@ struct LoadedGraph {
 /// No corpus and no copy of the file exist on the way: trace::scan_traces
 /// hands each of `threads` workers (0 = one per hardware thread) one parsed
 /// line at a time in its scratch trace, which the worker sanitizes in place
-/// and adds to its own flat address and pair sets. Memory is one block of
-/// input plus the distinct addresses and pairs, once per worker.
+/// and adds to its own flat address and pair sets. The inserts that the
+/// hops a worker reused from its previous line already made are skipped
+/// (trace::sanitize_trace). Memory is one block of input plus the distinct
+/// addresses and pairs, once per worker.
 [[nodiscard]] LoadedGraph read_graph(std::istream& in, unsigned threads = 1,
                                      LoadReport* report = nullptr);
 

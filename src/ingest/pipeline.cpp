@@ -1,6 +1,7 @@
 #include "ingest/pipeline.h"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -37,13 +38,17 @@ IngestPipeline::IngestPipeline(const IngestSetup& setup)
 void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
   if (raw_delta.empty()) return;
   delta_traces_ += raw_delta.size();
+  const unsigned threads = parallel::resolve_threads(options_.threads);
+  if (threads > 1 && !fold_pool_) {
+    fold_pool_ = std::make_unique<parallel::ThreadPool>(threads);
+  }
   const trace::SanitizeResult sanitized =
-      trace::sanitize(raw_delta, options_.threads);
+      trace::sanitize(raw_delta, fold_pool_.get());
   // The witness population takes every raw delta address: the other-side
   // heuristic must see the traces and hops the sanitizer discarded.
   graph::LoadedGraph& corpus = base_->corpus;
   merge_sorted_unique(corpus.addresses, sanitized.addresses);
-  corpus.graph.fold(sanitized.clean, corpus.addresses, options_.threads);
+  corpus.graph.fold(sanitized.clean, corpus.addresses, fold_pool_.get());
 }
 
 core::Result IngestPipeline::run() {

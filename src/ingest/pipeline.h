@@ -15,7 +15,8 @@
 // batch run; the incremental part is never re-parsing, re-sanitizing, or
 // re-folding the base. The pipeline keeps one engine for its lifetime, so
 // its thread pool, its buffers and the base IP2AS mappings of addresses
-// already seen survive from one publish to the next.
+// already seen survive from one publish to the next; likewise one worker
+// pool serves every fold.
 //
 // Equivalence invariant (the subsystem's signature property, pinned by
 // tests/integration/ingest_equivalence_test.cpp): after folding deltas D
@@ -33,6 +34,7 @@
 #include "core/run_inputs.h"
 #include "fault/io.h"
 #include "net/load_report.h"
+#include "parallel/thread_pool.h"
 #include "store/writer.h"
 #include "trace/trace.h"
 
@@ -109,6 +111,9 @@ class IngestPipeline {
   std::unique_ptr<core::RunInputs> base_;
   /// The engine over base_'s graph, created by the first run().
   std::unique_ptr<core::Engine> engine_;
+  /// The workers of every fold's sanitize and pair passes, created by the
+  /// first fold when options_.threads asks for more than one.
+  std::unique_ptr<parallel::ThreadPool> fold_pool_;
   core::CheckpointMeta meta_;
   std::size_t delta_traces_ = 0;
 };

@@ -115,6 +115,12 @@ void ThreadPool::for_ranges(std::size_t count, const RangeFn& fn) {
   }
 }
 
+std::unique_ptr<ThreadPool> pool_for(unsigned threads, std::size_t items) {
+  const unsigned resolved = resolve_threads(threads);
+  if (resolved == 1 || items <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(resolved);
+}
+
 void for_ranges(ThreadPool* pool, std::size_t count,
                 const ThreadPool::RangeFn& fn) {
   if (pool != nullptr && pool->size() > 1) {

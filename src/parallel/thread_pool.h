@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -91,6 +92,12 @@ class ThreadPool {
   bool busy_ = false;                ///< a for_ranges call is in flight
   std::vector<std::exception_ptr> errors_;  ///< one slot per worker
 };
+
+/// A pool of resolve_threads(threads) workers for one pass over `items`,
+/// or nullptr when the pass would run on the calling thread alone (one
+/// worker, or at most one item).
+[[nodiscard]] std::unique_ptr<ThreadPool> pool_for(unsigned threads,
+                                                   std::size_t items);
 
 /// One-shot convenience: runs fn over [0, count) on `pool` when it can go
 /// parallel (non-null, size > 1, count > 0), else inline on the caller.

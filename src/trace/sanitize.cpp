@@ -1,6 +1,5 @@
 #include "trace/sanitize.h"
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,23 +16,36 @@ bool quotes_ttl0(const TraceHop& hop) {
 
 }  // namespace
 
-bool sanitize_trace(Trace& trace, SanitizeTally& tally) {
+bool sanitize_trace(Trace& trace, SanitizeTally& tally, std::size_t shared) {
   ++tally.traces;
+  // Strip the quoted-TTL-0 hops in place, counting the survivors of the
+  // shared prefix; they lead the clean trace.
   std::vector<TraceHop>& hops = trace.hops;
-  const std::size_t raw_hops = hops.size();
-  std::erase_if(hops, [&](const TraceHop& hop) {
-    if (!quotes_ttl0(hop)) return false;
-    tally.dropped.insert(hop.address->value());
-    return true;
-  });
-  tally.removed_hops += raw_hops - hops.size();
+  std::size_t clean = 0;
+  std::size_t clean_shared = 0;
+  for (std::size_t i = 0; i < hops.size(); ++i) {
+    if (quotes_ttl0(hops[i])) {
+      if (i >= shared) tally.dropped.insert(hops[i].address->value());
+      continue;
+    }
+    if (i < shared) ++clean_shared;
+    if (clean != i) hops[clean] = hops[i];
+    ++clean;
+  }
+  tally.removed_hops += hops.size() - clean;
+  hops.resize(clean);
   const bool keep = !trace.has_interface_cycle();
-  for (const TraceHop& hop : hops) {
-    if (hop.address) {
-      (keep ? tally.kept : tally.dropped).insert(hop.address->value());
+  // A kept trace after a discarded one must still put the shared survivors
+  // into `kept`; every other case already has them where they belong.
+  const std::size_t known = keep && !tally.last_kept ? 0 : clean_shared;
+  for (std::size_t i = known; i < clean; ++i) {
+    if (hops[i].address) {
+      (keep ? tally.kept : tally.dropped).insert(hops[i].address->value());
     }
   }
   if (!keep) ++tally.discarded;
+  tally.repeated_hops = keep && tally.last_kept ? clean_shared : 0;
+  tally.last_kept = keep;
   return keep;
 }
 
@@ -59,21 +71,22 @@ SanitizeStats merge_tallies(std::span<const SanitizeTally> tallies,
 }
 
 SanitizeResult sanitize(TraceCorpus corpus, unsigned threads) {
-  std::vector<Trace>& traces = corpus.traces();
-  const unsigned resolved = parallel::resolve_threads(threads);
-  std::optional<parallel::ThreadPool> pool;
-  if (resolved > 1 && traces.size() > 1) pool.emplace(resolved);
+  const auto pool = parallel::pool_for(threads, corpus.size());
+  return sanitize(std::move(corpus), pool.get());
+}
 
+SanitizeResult sanitize(TraceCorpus corpus, parallel::ThreadPool* pool) {
+  std::vector<Trace>& traces = corpus.traces();
   // Per-trace sanitization is independent: workers clean ascending chunks
   // in place and flag the traces to discard; the compaction below keeps
   // corpus order, so the result is the same for every thread count.
   std::vector<char> discard(traces.size(), 0);
   std::vector<SanitizeTally> tallies(pool ? pool->size() : 1);
   parallel::for_ranges(
-      pool ? &*pool : nullptr, traces.size(),
+      pool, traces.size(),
       [&](unsigned worker, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          if (!sanitize_trace(traces[i], tallies[worker])) discard[i] = 1;
+          if (!sanitize_trace(traces[i], tallies[worker], 0)) discard[i] = 1;
         }
       });
 

@@ -20,6 +20,10 @@
 #include "net/ipv4.h"
 #include "trace/trace.h"
 
+namespace mapit::parallel {
+class ThreadPool;
+}  // namespace mapit::parallel
+
 namespace mapit::trace {
 
 struct SanitizeStats {
@@ -68,22 +72,42 @@ struct SanitizeResult {
 [[nodiscard]] SanitizeResult sanitize(TraceCorpus corpus,
                                       unsigned threads = 1);
 
+/// The same pass on a caller-owned pool (nullptr: the calling thread
+/// alone), so that a caller sanitizing batch after batch starts its
+/// workers once.
+[[nodiscard]] SanitizeResult sanitize(TraceCorpus corpus,
+                                      parallel::ThreadPool* pool);
+
 /// What one worker's sanitize_trace calls have seen. Aligned to a cache
 /// line: workers keep one each, side by side, and count every trace.
 struct alignas(64) SanitizeTally {
   std::size_t traces = 0;
   std::size_t discarded = 0;
   std::size_t removed_hops = 0;
-  /// Addresses of the hops that survive into clean traces, and of every
-  /// other raw hop. Each raw hop lands in exactly one of the two.
+  /// `kept` holds the address of every hop that survives into a kept
+  /// trace, and `kept ∪ dropped` the address of every raw hop; nothing
+  /// else is in either. merge_tallies reads no more than that, so a hop
+  /// whose insert an earlier trace already made is not inserted again.
   net::FlatSet64 kept;
   net::FlatSet64 dropped;
+  /// Whether the last trace was kept.
+  bool last_kept = false;
+  /// How many leading hops of the last trace, cleaned, the trace before it
+  /// had too, when both were kept: the adjacencies between them are not new.
+  std::size_t repeated_hops = 0;
 };
 
 /// The per-trace step of sanitize() and of graph::read_graph: strips the
 /// quoted-TTL-0 hops of `trace` in place and records it in `tally`. True
 /// when the trace is kept, false when an interface cycle discards it.
-bool sanitize_trace(Trace& trace, SanitizeTally& tally);
+///
+/// The first `shared` raw hops of `trace` must equal those of the trace
+/// `tally` saw last (trace::TraceVisitor's count; pass 0 when unknown).
+/// Their inserts repeat that trace's and are skipped: its quoted-TTL-0
+/// hops are in `dropped`, and its surviving hops are in `kept` when it was
+/// kept and in `kept ∪ dropped` either way. The counters and the cycle
+/// check still see the whole trace.
+bool sanitize_trace(Trace& trace, SanitizeTally& tally, std::size_t shared);
 
 /// The statistics of a pass whose workers kept `tallies`; sets `addresses`
 /// to the raw traces' distinct addresses, sorted (SanitizeResult::addresses).

@@ -1,6 +1,9 @@
 #include "trace/trace_io.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <istream>
 #include <iterator>
 #include <optional>
@@ -18,6 +21,47 @@ namespace mapit::trace {
 namespace {
 
 constexpr std::size_t kMaxHops = 255;
+
+/// Parses the hop token that starts at `at` in the hop field `field` when
+/// it has a common form, A.B.C.D or A.B.C.D@Q: four octets and an optional
+/// quoted TTL, each of 1-3 digits and at most 255. One pass parses the
+/// token and finds its end, which it returns; for any other token it
+/// returns npos and leaves `hop` untouched.
+std::size_t parse_address_hop(std::string_view field, std::size_t at,
+                              TraceHop& hop) {
+  const char* next = field.data() + at;
+  const char* const end = field.data() + field.size();
+  const auto digit = [&] {
+    return next != end && static_cast<unsigned char>(*next - '0') <= 9;
+  };
+  const auto number = [&](unsigned& value) {
+    if (!digit()) return false;
+    value = static_cast<unsigned>(*next++ - '0');
+    for (int more = 0; more < 2 && digit(); ++more) {
+      value = value * 10 + static_cast<unsigned>(*next++ - '0');
+    }
+    return value <= 255;
+  };
+  std::uint32_t address = 0;
+  for (int i = 0; i < 4; ++i) {
+    unsigned octet = 0;
+    if (!number(octet)) return std::string_view::npos;
+    address = address << 8 | octet;
+    if (i < 3 && (next == end || *next++ != '.')) {
+      return std::string_view::npos;
+    }
+  }
+  unsigned quoted = 0;
+  const bool has_quoted = next != end && *next == '@';
+  if (has_quoted) {
+    ++next;
+    if (!number(quoted)) return std::string_view::npos;
+  }
+  if (next != end && *next != ' ') return std::string_view::npos;
+  hop.address = net::Ipv4Address(address);
+  if (has_quoted) hop.quoted_ttl = static_cast<std::uint8_t>(quoted);
+  return static_cast<std::size_t>(next - field.data());
+}
 
 /// Parses one hop token into the default-constructed `hop`; on failure sets
 /// `error` and returns false.
@@ -54,10 +98,54 @@ bool parse_hop(std::string_view token, TraceHop& hop, std::string& error) {
   return true;
 }
 
+/// The length of the longest common prefix of `a` and `b`, compared 8
+/// bytes at a time.
+std::size_t common_prefix(std::string_view a, std::string_view b) {
+  const std::size_t size = std::min(a.size(), b.size());
+  std::size_t at = 0;
+  for (; at + 8 <= size; at += 8) {
+    std::uint64_t x = 0;
+    std::uint64_t y = 0;
+    std::memcpy(&x, a.data() + at, 8);
+    std::memcpy(&y, b.data() + at, 8);
+    if (x != y) {
+      const int bits = std::endian::native == std::endian::little
+                           ? std::countr_zero(x ^ y)
+                           : std::countl_zero(x ^ y);
+      return at + static_cast<std::size_t>(bits / 8);
+    }
+  }
+  while (at < size && a[at] == b[at]) ++at;
+  return at;
+}
+
+/// A scan worker's previous well-formed line: its hop field, copied
+/// because the block buffer shifts between blocks; the hops parsed from
+/// it, before the visitor could edit them; and the end offset of each hop
+/// token in the field.
+struct PreviousLine {
+  std::string field;
+  std::vector<TraceHop> hops;
+  std::vector<std::size_t> ends;
+
+  void clear() {
+    field.clear();
+    hops.clear();
+    ends.clear();
+  }
+};
+
 /// The trace-line grammar, parsed in place from the line's bytes. Fills
 /// `trace` (reusing the capacity of its hops) or returns false with the
 /// reason in `error`; the caller adds the position.
-bool parse_line(std::string_view line, Trace& trace, std::string& error) {
+///
+/// With a `previous` line, the line reuses the hops of the longest prefix
+/// of its hop field that both fields share byte for byte and that ends at
+/// a token end in both, parses only the rest, and sets `shared` to the
+/// number of hops reused. A line that parses becomes the previous line;
+/// after one that fails, the caller clears `previous`.
+bool parse_line(std::string_view line, Trace& trace, std::string& error,
+                PreviousLine* previous, std::size_t& shared) {
   const std::size_t bar1 = line.find('|');
   const std::size_t bar2 = bar1 == std::string_view::npos
                                ? std::string_view::npos
@@ -87,21 +175,53 @@ bool parse_line(std::string_view line, Trace& trace, std::string& error) {
   // skipped. Every other byte, '\t' and '\r' included, belongs to a token.
   const std::string_view hops = line.substr(bar2 + 1);
   std::size_t at = 0;
+  shared = 0;
+  if (previous != nullptr) {
+    // The previous line's tokens that end inside the common prefix recur
+    // here; so does the one ending exactly where the prefix does when this
+    // line's token ends there too. Their hops keep their probe TTLs, which
+    // are their positions.
+    const std::size_t common = common_prefix(hops, previous->field);
+    const std::vector<std::size_t>& ends = previous->ends;
+    shared = static_cast<std::size_t>(
+        std::lower_bound(ends.begin(), ends.end(), common) - ends.begin());
+    if (shared < ends.size() && ends[shared] == common &&
+        (common == hops.size() || hops[common] == ' ')) {
+      ++shared;
+    }
+    if (shared > 0) at = ends[shared - 1];
+    trace.hops.assign(previous->hops.begin(),
+                      previous->hops.begin() +
+                          static_cast<std::ptrdiff_t>(shared));
+    previous->field.resize(common);
+    previous->field.append(hops.substr(common));
+    previous->hops.resize(shared);
+    previous->ends.resize(shared);
+  }
   while (at < hops.size()) {
     if (hops[at] == ' ') {
       ++at;
       continue;
     }
-    std::size_t end = hops.find(' ', at);
-    if (end == std::string_view::npos) end = hops.size();
     if (trace.hops.size() == kMaxHops) {
       error = "more than 255 hops";
       return false;
     }
     TraceHop& hop = trace.hops.emplace_back();
     hop.probe_ttl = static_cast<std::uint8_t>(trace.hops.size());
-    if (!parse_hop(hops.substr(at, end - at), hop, error)) return false;
+    std::size_t end = parse_address_hop(hops, at, hop);
+    if (end == std::string_view::npos) {
+      end = std::min(hops.find(' ', at), hops.size());
+      if (!parse_hop(hops.substr(at, end - at), hop, error)) return false;
+    }
+    if (previous != nullptr) previous->ends.push_back(end);
     at = end;
+  }
+  if (previous != nullptr) {
+    previous->hops.insert(previous->hops.end(),
+                          trace.hops.begin() +
+                              static_cast<std::ptrdiff_t>(shared),
+                          trace.hops.end());
   }
   return true;
 }
@@ -113,11 +233,14 @@ struct Failure {
   std::string detail;
 };
 
-/// One worker's scratch trace, and what it found in its byte range of the
-/// current block. A cache line apart from the other workers' parts: the
-/// scratch trace is written on every hop.
+/// One worker's scratch trace and previous line, and what it found in its
+/// byte range of the current block. A cache line apart from the other
+/// workers' parts: the scratch trace is written on every hop.
 struct alignas(64) Part {
   Trace scratch;           ///< its hop capacity is reused line to line
+  /// The worker's last well-formed line, from this block or an earlier
+  /// one; empty at the start and after a bad line.
+  PreviousLine previous;
   std::size_t lines = 0;   ///< lines started (comments and blanks included)
   std::size_t traces = 0;  ///< well-formed lines visited
   /// The range's first bad lines: as many as a LoadReport details, so a
@@ -153,7 +276,8 @@ std::string format_trace(const Trace& trace) {
 Trace parse_trace(std::string_view line, std::string_view context) {
   Trace trace;
   std::string error;
-  if (!parse_line(line, trace, error)) {
+  std::size_t shared = 0;
+  if (!parse_line(line, trace, error, nullptr, shared)) {
     throw ParseError(std::string(context) + ": " + error);
   }
   return trace;
@@ -201,11 +325,13 @@ void scan_traces(std::istream& in, unsigned workers, LoadReport* report,
           at = line_end + 1;
           ++lines;
           if (line.empty() || line[0] == '#') continue;
-          if (parse_line(line, trace, error)) {
-            visit(worker, trace);
+          std::size_t shared = 0;
+          if (parse_line(line, trace, error, &part.previous, shared)) {
+            visit(worker, trace, shared);
             ++traces;
             continue;
           }
+          part.previous.clear();
           if (part.failures.size() < LoadReport::kMaxDetailed) {
             part.failures.push_back({lines, offset, std::move(error)});
           } else {
@@ -293,7 +419,7 @@ TraceCorpus read_corpus(std::istream& in, unsigned threads,
   std::vector<Trace> traces;
   scan_traces(
       in, static_cast<unsigned>(copies.size()), report,
-      [&](unsigned worker, Trace& trace) {
+      [&](unsigned worker, Trace& trace, std::size_t) {
         copies[worker].traces.push_back(trace);
       },
       [&] {

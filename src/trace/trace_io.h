@@ -43,7 +43,16 @@ inline constexpr std::size_t kScanBlockBytes = std::size_t{1} << 20;
 /// scan worker that parsed it and `trace` is that worker's scratch trace:
 /// the visitor may edit it, and must copy out whatever it keeps, because
 /// the worker parses its next line into the same object.
-using TraceVisitor = std::function<void(unsigned worker, Trace& trace)>;
+///
+/// `shared` counts the leading hops of `trace` that the worker reused from
+/// the trace it visited before instead of parsing them again: as parsed,
+/// before any visitor edit, the two traces' first `shared` hops are equal,
+/// probe TTLs included. It is 0 for a worker's first trace and for the
+/// first trace after a line that failed to parse. A visitor that keeps
+/// per-worker state may skip work that its visit of the earlier trace
+/// already did for those hops; others ignore it.
+using TraceVisitor =
+    std::function<void(unsigned worker, Trace& trace, std::size_t shared)>;
 
 /// Streams the trace lines of `in` through `visit` in one pass, holding one
 /// block of the input at a time and never the whole file.
@@ -58,6 +67,14 @@ using TraceVisitor = std::function<void(unsigned worker, Trace& trace)>;
 /// of its range in file order, and a block's visits all finish before
 /// `end_block` (when set) runs and the next block starts, so collecting
 /// per-worker results in worker order after each block yields file order.
+///
+/// Each worker keeps, across blocks, a copy of its last well-formed line's
+/// hop field with that line's parsed hops and token ends. A new line reuses
+/// the hops of the longest prefix of its hop field that the two fields
+/// share byte for byte and that ends at a token end in both, and parses
+/// only the rest; `visit` learns how many hops were reused. The reuse
+/// depends on the bytes alone, so traces, errors and reports are those of
+/// parsing every line afresh, for any worker count and block edge.
 ///
 /// Errors match read_corpus: strict mode (`report == nullptr`) throws
 /// mapit::ParseError naming the file's first bad line, lenient mode

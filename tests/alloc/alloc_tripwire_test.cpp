@@ -227,7 +227,8 @@ std::size_t blocks_of(const std::string& text) {
   LoadReport report;  // lenient: garbage texts scan too
   std::size_t blocks = 0;
   trace::scan_traces(
-      in, 1, &report, [](unsigned, trace::Trace&) {}, [&] { ++blocks; });
+      in, 1, &report, [](unsigned, trace::Trace&, std::size_t) {},
+      [&] { ++blocks; });
   return blocks;
 }
 

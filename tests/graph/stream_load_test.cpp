@@ -4,10 +4,14 @@
 // SanitizeStats and the address population. trace::scan_traces, which both
 // paths share, is checked against the getline reference reader on texts
 // whose block edges fall on every kind of byte, so errors keep their line
-// numbers and byte offsets across blocks.
+// numbers and byte offsets across blocks. Texts whose lines share leading
+// hops check the inserts the streaming path skips for the hops a worker
+// reuses from its previous line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -304,6 +308,137 @@ TEST(StreamLoad, ManyBadLinesAcrossBlocksAndWorkersCountLikeTheReference) {
   expect_all_paths_agree(dirty, "every 7th line bad");
 }
 
+/// Fresh public addresses, each handed out once: what a planted run does
+/// with them shows in the address population and the graph alone.
+class UniqueAddresses {
+ public:
+  std::string next() {
+    ++count_;
+    return "30." + std::to_string(count_ >> 16 & 255) + "." +
+           std::to_string(count_ >> 8 & 255) + "." +
+           std::to_string(count_ & 255);
+  }
+
+ private:
+  std::uint32_t count_ = 0;
+};
+
+/// Runs of lines that share leading hops and on which the streaming
+/// path's skipped inserts have an edge, each over addresses of its own.
+std::string planted_runs(UniqueAddresses& unique) {
+  const std::string a = unique.next();
+  const std::string b = unique.next();
+  const std::string c = unique.next();
+  const std::string d = unique.next();
+  const std::string e = unique.next();
+  std::string text;
+  const auto line = [&](const std::string& hops) {
+    text += "5|20.0.0.1|" + hops + "\n";
+  };
+  // A quoted-TTL-0 hop inside the shared prefix: its address is dropped,
+  // and the adjacency across it is not one.
+  line(a + " " + b + "@0 " + c + " " + d);
+  line(a + " " + b + "@0 " + c + " " + e);
+  // A trace discarded for a cycle, then a kept one with the same prefix:
+  // the kept trace must still put the prefix into the kept addresses and
+  // its adjacencies into the graph.
+  const std::string f = unique.next();
+  const std::string g = unique.next();
+  const std::string h = unique.next();
+  const std::string i = unique.next();
+  line(f + " " + g + "@0 " + h + " " + f);
+  line(f + " " + g + "@0 " + h + " " + i);
+  // A kept trace, then a discarded one with the same prefix whose cycle
+  // closes only in its suffix, then a kept one again.
+  const std::string j = unique.next();
+  const std::string k = unique.next();
+  const std::string l = unique.next();
+  const std::string m = unique.next();
+  line(j + " " + k + " " + l);
+  line(j + " " + k + " " + l + " " + m + " " + k);
+  line(j + " " + k + " " + l + " " + m);
+  // Two discarded traces sharing a prefix whose addresses no kept trace
+  // has.
+  const std::string n = unique.next();
+  const std::string o = unique.next();
+  line(n + " " + o + " " + n);
+  line(n + " " + o + " " + n + " *");
+  // A quoted-TTL-0 hop right after the shared prefix.
+  const std::string p = unique.next();
+  const std::string q = unique.next();
+  const std::string r = unique.next();
+  line(p + " " + q);
+  line(p + " " + q + " " + r + "@0 " + a);
+  return text;
+}
+
+/// A text of at least `bytes` bytes whose lines keep a random number of
+/// the previous line's hops and add new ones, as one monitor's traces
+/// share their first hops. Few addresses, frequent quoted TTL 0 hops and
+/// '*' put cycles and removed hops into shared prefixes and suffixes
+/// alike; the planted runs recur among them.
+std::string sharing_trace_text(std::uint64_t seed, std::size_t bytes) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  UniqueAddresses unique;
+  std::vector<std::string> hops;
+  std::string text;
+  while (text.size() < bytes) {
+    if (pick(0, 99) == 0) {
+      text += planted_runs(unique);
+      continue;
+    }
+    hops.resize(static_cast<std::size_t>(
+        pick(0, static_cast<int>(std::min<std::size_t>(hops.size(), 25)))));
+    for (int added = pick(0, 6); added > 0; --added) {
+      std::string hop = "*";
+      if (pick(0, 11) != 0) {
+        hop = "11.0." + std::to_string(pick(0, 11)) + "." +
+              std::to_string(pick(0, 11));
+        const int quoted = pick(0, 9);
+        if (quoted < 3) hop += quoted == 0 ? "@0" : "@1";
+      }
+      hops.push_back(hop);
+    }
+    text += std::to_string(pick(0, 3)) + "|20.0.0." +
+            std::to_string(pick(0, 255)) + "|";
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      if (h > 0) text += ' ';
+      text += hops[h];
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(StreamLoad, PlantedSharingRunsMatchTheCorpusPath) {
+  UniqueAddresses unique;
+  std::string text;
+  for (int copy = 0; copy < 3; ++copy) text += planted_runs(unique);
+  expect_all_paths_agree(text, "planted runs");
+  // Every planted kind happens: four traces of each copy are discarded,
+  // five quoted TTL 0 hops go, and five addresses are seen but not
+  // retained (three only at quoted TTL 0, two only in discarded traces).
+  std::istringstream in(text);
+  const trace::SanitizeStats stats = read_graph(in).stats;
+  EXPECT_EQ(stats.discarded_traces, 3u * 4u);
+  EXPECT_EQ(stats.removed_ttl0_hops, 3u * 5u);
+  EXPECT_EQ(stats.input_addresses - stats.retained_addresses, 3u * 5u);
+}
+
+TEST(StreamLoad, LinesSharingPrefixesMatchTheCorpusPath) {
+  // Runs of sharing lines span every block edge and every worker's range
+  // edge, so each worker also reuses a line from an earlier block.
+  const std::string text = sharing_trace_text(17, 2 * kScanBlockBytes + 777);
+  expect_all_paths_agree(text, "sharing lines");
+  std::istringstream in(text);
+  const trace::SanitizeStats stats = read_graph(in).stats;
+  EXPECT_GT(stats.discarded_traces, stats.input_traces / 20);
+  EXPECT_GT(stats.removed_ttl0_hops, stats.input_traces / 20);
+}
+
 TEST(StreamLoad, ReadErrorMidBlockThrows) {
   std::string text;
   fill_to(text, kScanBlockBytes + kScanBlockBytes / 2);
@@ -341,7 +476,9 @@ TEST(StreamLoad, ScannerEndsEveryBlockOnceAfterItsVisits) {
     std::size_t total = 0;
     trace::scan_traces(
         in, threads, nullptr,
-        [&](unsigned worker, trace::Trace&) { ++visits[worker]; },
+        [&](unsigned worker, trace::Trace&, std::size_t) {
+          ++visits[worker];
+        },
         [&] {
           ++blocks;
           for (std::size_t& count : visits) {

@@ -2,12 +2,17 @@
 // (reference_parser.h). On seeded random lines and byte-level
 // mutations of them, parse_trace must return the same Trace or throw the
 // same message, and read_corpus must report the same first error (strict)
-// or the same LoadReport (lenient) at every thread count.
+// or the same LoadReport (lenient) at every thread count. Texts whose
+// lines share leading hops check the scanner's reuse of its previous
+// line: wherever consecutive lines diverge, the result is the reference's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -78,6 +83,62 @@ class LineGenerator {
     }
     if (pick(0, 9) == 0) line += ' ';
     return line;
+  }
+
+  /// A hop field that keeps a random number of the hop tokens of
+  /// `previous` (a hop field) and then diverges: inside the next token, at
+  /// its quoted TTL, after a run of spaces or at any byte, or not at all,
+  /// as the same field, a strict prefix of it, or an extension of it.
+  std::string sharing_field(const std::string& previous) {
+    std::vector<std::pair<std::size_t, std::size_t>> tokens;
+    for (std::size_t at = 0; at < previous.size();) {
+      if (previous[at] == ' ') {
+        ++at;
+        continue;
+      }
+      const std::size_t end = std::min(previous.find(' ', at), previous.size());
+      tokens.emplace_back(at, end);
+      at = end;
+    }
+    std::string field;
+    if (tokens.size() > 40) return field;  // start over with fresh hops
+    const auto kept =
+        static_cast<std::size_t>(pick(0, static_cast<int>(tokens.size())));
+    field = previous.substr(0, kept == 0 ? 0 : tokens[kept - 1].second);
+    std::string next;  // the next token, with the spaces before it
+    if (kept < tokens.size()) {
+      next = previous.substr(field.size(), tokens[kept].second - field.size());
+    }
+    switch (pick(0, 8)) {
+      case 0:
+        return previous;  // identical
+      case 1:
+        return field;  // a strict prefix ending at a token end
+      case 2:
+        field = previous;  // previous is a strict prefix
+        break;
+      case 3:  // 1.2.3.4 -> 1.2.3.45, A@1 -> A@12, * -> *5
+        field += next + std::to_string(pick(0, 9));
+        break;
+      case 4:  // 1.2.3.45 -> 1.2.3.4
+        if (next.size() > 1) field += next.substr(0, next.size() - 1);
+        break;
+      case 5:  // 1.2.3.4 -> 1.2.3.4@5
+        field += next + "@" + number(static_cast<unsigned>(pick(0, 255)));
+        break;
+      case 6:
+        field += next + "   ";  // a run of spaces
+        break;
+      default:
+        field = previous.substr(0, static_cast<std::size_t>(pick(
+                                       0, static_cast<int>(previous.size()))));
+        break;
+    }
+    for (int i = pick(0, 4); i > 0; --i) {
+      if (!field.empty()) field += ' ';
+      field += hop();
+    }
+    return field;
   }
 
   /// One byte-level mutation of `line`.
@@ -256,6 +317,164 @@ void expect_same_corpus(const std::string& text, const std::string& label) {
       EXPECT_EQ(got.byte_offset, want.byte_offset) << where;
       EXPECT_EQ(got.error, want.error) << where;
     }
+  }
+}
+
+/// `count` hop tokens, the same at every call.
+std::string numbered_hops(int count) {
+  std::string field;
+  for (int i = 1; i <= count; ++i) {
+    if (i > 1) field += ' ';
+    field += i % 7 == 0 ? "*" : "11.0." + std::to_string(i) + ".1@" +
+                                    std::to_string(i % 3);
+  }
+  return field;
+}
+
+/// Runs of hop fields, each after the one before it, for which the reuse
+/// of the previous line has an edge.
+std::vector<std::vector<std::string>> sharing_runs() {
+  const std::string hops250 = numbered_hops(250);
+  return {
+      // Divergence inside a token, at its quoted TTL, after '*' and after
+      // a run of spaces.
+      {"1.2.3.4 5.6.7.8", "1.2.3.45 5.6.7.8", "1.2.3.4 5.6.7.8"},
+      {"11.0.0.1@1 11.0.0.2", "11.0.0.1@12 11.0.0.2"},
+      {"9.9.9.9 11.0.0.1@1 11.0.0.2", "9.9.9.9 11.0.0.1@12 11.0.0.2"},
+      {"1.2.3.4 5.6.7.8", "1.2.3.4@5 5.6.7.8", "1.2.3.4@5 5.6.7.9"},
+      {"* 1.2.3.4", "* 1.2.3.5", "*  1.2.3.5", "** 1.2.3.5"},
+      {"1.2.3.4   5.6.7.8", "1.2.3.4   9.9.9.9", "1.2.3.4  9.9.9.9"},
+      // Identical lines, and a line that is a strict prefix of the one
+      // before it, or the reverse; trailing and leading spaces.
+      {"1.2.3.4 5.6.7.8", "1.2.3.4 5.6.7.8", "1.2.3.4 5.6.7.8"},
+      {"1.2.3.4 5.6.7.8", "1.2.3.4", "1.2.3.4 5.6.7.8", "", "1.2.3.4"},
+      {"1.2.3.4 ", "1.2.3.4", "1.2.3.4 ", " 1.2.3.4", " 1.2.3.4 5.6.7.8"},
+      // 255 and 256 hops, 250 of them shared.
+      {hops250 + " 1.0.0.1 1.0.0.2 1.0.0.3 1.0.0.4 1.0.0.5",
+       hops250 + " 2.0.0.1 2.0.0.2 2.0.0.3 2.0.0.4 2.0.0.5",
+       hops250 + " 2.0.0.1 2.0.0.2 2.0.0.3 2.0.0.4 2.0.0.5 2.0.0.6",
+       hops250 + " 2.0.0.1 2.0.0.2 2.0.0.3 2.0.0.4 *"},
+      // A bad token in the suffix, and a bad line between two lines that
+      // share a prefix.
+      {"1.2.3.4 5.6.7.8", "1.2.3.4 5.6.7.8 1.2.3.999", "1.2.3.4 5.6.7.8 *"},
+      {"1.2.3.4 5.6.7.8", "1.2.3.4 5.6.7.8@", "1.2.3.4 5.6.7.8@1",
+       "1.2.3.4 5.6.7.8\r", "1.2.3.4 5.6.7.8"},
+  };
+}
+
+/// The hops each line of `text` reused, in file order, as one scan worker
+/// reports them.
+std::vector<std::size_t> shared_counts(const std::string& text) {
+  std::istringstream in(text);
+  LoadReport report;
+  std::vector<std::size_t> counts;
+  scan_traces(in, 1, &report, [&](unsigned, Trace&, std::size_t shared) {
+    counts.push_back(shared);
+  });
+  return counts;
+}
+
+TEST(ParserDifferential, ReusedHopsEndAtTokenEndsOfBothLines) {
+  // (previous hop field, hop field, hops the second line reuses)
+  const std::vector<std::tuple<std::string, std::string, std::size_t>>
+      cases = {
+          {"1.2.3.4 5.6.7.8", "1.2.3.45 5.6.7.8", 0},
+          {"1.2.3.45 5.6.7.8", "1.2.3.4 5.6.7.8", 0},
+          {"11.0.0.1@1 11.0.0.2", "11.0.0.1@12 11.0.0.2", 0},
+          {"9.9.9.9 11.0.0.1@1", "9.9.9.9 11.0.0.1@12", 1},
+          {"1.2.3.4 5.6.7.8", "1.2.3.4@5 5.6.7.8", 0},
+          {"* 1.2.3.4", "* 1.2.3.5", 1},
+          {"* 1.2.3.4", "*  1.2.3.4", 1},
+          {"1.2.3.4   5.6.7.8", "1.2.3.4   9.9.9.9", 1},
+          {"1.2.3.4   5.6.7.8", "1.2.3.4 5.6.7.8", 1},
+          {"1.2.3.4 5.6.7.8", "1.2.3.4 5.6.7.8", 2},
+          {"1.2.3.4 5.6.7.8", "1.2.3.4", 1},
+          {"1.2.3.4", "1.2.3.4 5.6.7.8", 1},
+          {"1.2.3.4 ", "1.2.3.4", 1},
+          {"1.2.3.4", "1.2.3.4 ", 1},
+          {"1.2.3.4 5.6.7.8", "", 0},
+          {"", "1.2.3.4", 0},
+          {" 1.2.3.4", "1.2.3.4", 0},
+      };
+  for (const auto& [previous, field, shared] : cases) {
+    const std::string text = "1|9.9.9.9|" + previous + "\n2|8.8.8.8|" + field;
+    EXPECT_EQ(shared_counts(text),
+              (std::vector<std::size_t>{0, shared}))
+        << "'" << previous << "' then '" << field << "'";
+  }
+  // A bad line clears what the worker keeps; comments and blank lines
+  // keep it.
+  EXPECT_EQ(shared_counts("1|9.9.9.9|1.2.3.4 5.6.7.8\n"
+                          "1|9.9.9.9|1.2.3.4 5.6.7.999\n"
+                          "1|9.9.9.9|1.2.3.4 5.6.7.8\n"
+                          "# 1.2.3.4\n\n"
+                          "bad|9.9.9.9|1.2.3.4\n"
+                          "1|9.9.9.9|1.2.3.4 5.6.7.8\n"
+                          "# comment\n"
+                          "\n"
+                          "1|9.9.9.9|1.2.3.4 5.6.7.8\n"),
+            (std::vector<std::size_t>{0, 0, 0, 2}));
+}
+
+TEST(ParserDifferential, HandPickedSharingRunsMatchReference) {
+  std::string all;
+  for (const std::vector<std::string>& run : sharing_runs()) {
+    std::string text;
+    for (const std::string& field : run) text += "3|9.9.9.9|" + field + "\n";
+    expect_same_corpus(text, "run starting '" + run.front().substr(0, 30) + "'");
+    all += text;
+  }
+  expect_same_corpus(all, "every run");
+}
+
+/// A text of at least `bytes` bytes whose lines keep a random number of
+/// the previous line's hop tokens and then diverge, with the hand-picked
+/// runs among them. Without `bad`, every line is well formed.
+std::string sharing_text(LineGenerator& gen, std::size_t bytes, bool bad) {
+  const std::vector<std::vector<std::string>> runs = sharing_runs();
+  const auto keep = [&](const std::string& line) {
+    return bad ||
+           outcome_of([&] { return reference::parse_trace(line); }).index() ==
+               0;
+  };
+  std::string text;
+  std::string field;
+  while (text.size() < bytes) {
+    const std::string head = std::to_string(gen.pick(0, 3)) + "|9.9.9." +
+                             std::to_string(gen.pick(0, 255)) + "|";
+    if (gen.pick(0, 199) == 0) {
+      for (const std::string& run_field :
+           runs[static_cast<std::size_t>(
+               gen.pick(0, static_cast<int>(runs.size()) - 1))]) {
+        if (keep(head + run_field)) text += head + run_field + "\n";
+      }
+      continue;
+    }
+    field = gen.sharing_field(field);
+    std::string line = head + field;
+    if (bad && gen.pick(0, 49) == 0) line = gen.mutate(line);
+    if (keep(line)) text += line + (gen.pick(0, 99) == 0 ? "\n#\n" : "\n");
+  }
+  return text;
+}
+
+TEST(ParserDifferential, SharingLinesMatchReferenceAcrossBlocks) {
+  // Runs of lines sharing leading hops span every block edge and every
+  // worker's range edge; the scanner keeps each worker's previous line
+  // across blocks.
+  LineGenerator gen(24);
+  for (const bool bad : {false, true}) {
+    const std::string text = sharing_text(gen, 2 * kScanBlockBytes + 4321, bad);
+    expect_same_corpus(text, bad ? "sharing lines, some bad" : "sharing lines");
+    // The reuse fires: a good share of all hops comes from previous lines.
+    std::istringstream in(text);
+    LoadReport report;
+    const TraceCorpus corpus = reference::read_corpus(in, &report);
+    std::size_t hops = 0;
+    for (const Trace& trace : corpus.traces()) hops += trace.hops.size();
+    std::size_t reused = 0;
+    for (const std::size_t shared : shared_counts(text)) reused += shared;
+    EXPECT_GT(reused, hops / 4) << "of " << hops << " hops";
   }
 }
 

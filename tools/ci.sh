@@ -317,6 +317,19 @@ stage_snapshot() {
   "${mapit_bin}" snapshot --traces "${x8}" "${datasets[@]}" \
     --out "${work}/snapshot_x8.bin"
   cmp "${work}/snapshot.bin" "${work}/snapshot_x8.bin"
+  # The graph is built from sets, so line order must not show. Shuffling
+  # the lines (fixed seed) moves every place where the reader reuses the
+  # hops its previous line shares with the next; the bytes must not move.
+  local shuffled="${work}/traces_shuffled.txt"
+  python3 - "${work}/traces.txt" "${shuffled}" <<'EOF'
+import random, sys
+lines = open(sys.argv[1], "rb").read().splitlines(keepends=True)
+random.Random(9).shuffle(lines)
+open(sys.argv[2], "wb").write(b"".join(lines))
+EOF
+  "${mapit_bin}" snapshot --traces "${shuffled}" "${datasets[@]}" \
+    --out "${work}/snapshot_shuffled.bin"
+  cmp "${work}/snapshot.bin" "${work}/snapshot_shuffled.bin"
   # One malformed line planted past the first block: strict mode must exit
   # 3 naming the line number and byte offset computed here from the file;
   # lenient mode must skip just that line and write the same bytes.
@@ -346,7 +359,7 @@ EOF
     --out "${work}/snapshot_lenient.bin" 2> "${work}/lenient.err"
   grep -q "^traces: skipped 1 of " "${work}/lenient.err"
   cmp "${work}/snapshot.bin" "${work}/snapshot_lenient.bin"
-  echo "x8 corpus and planted bad line (${expected%%:*}): ok"
+  echo "x8 corpus, shuffled corpus and planted bad line (${expected%%:*}): ok"
 
   echo "== snapshot crash matrix =="
   # Crash-at-every-injection-point proof for the artifact the smoke above

@@ -1291,8 +1291,8 @@ int cmd_paths(Args& args) {
   std::size_t shown = 0;
   trace::scan_traces(
       again, 1, lenient ? &reported : nullptr,
-      [&](unsigned, trace::Trace& t) {
-        if (shown >= limit || !trace::sanitize_trace(t, tally)) return;
+      [&](unsigned, trace::Trace& t, std::size_t) {
+        if (shown >= limit || !trace::sanitize_trace(t, tally, 0)) return;
         const core::AnnotatedPath annotated = annotator.annotate(t);
         if (annotated.as_path == annotated.naive_as_path) return;  // boring
         ++shown;
