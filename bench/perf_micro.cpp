@@ -1,17 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical pieces:
 // longest-prefix-match lookups, the cold path's layers (parsing,
 // sanitization, distinct addresses, neighbour-set construction) and the
-// streaming pass that fuses them, the ingest fold, and the end-to-end
-// MAP-IT engine at two corpus scales.
+// streaming pass that fuses them, the ingest fold, the end-to-end MAP-IT
+// engine at two corpus scales, and one checkpoint write.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "baselines/claims.h"
+#include "core/checkpoint.h"
 #include "eval/experiment.h"
 #include "graph/interface_graph.h"
 #include "trace/sanitize.h"
@@ -225,6 +228,44 @@ void BM_ClaimsExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClaimsExtraction);
+
+// What one checkpoint boundary of `mapit run --checkpoint-dir` pays: the
+// engine's save_state() and the crash-safe write of the checkpoint file,
+// with the standard run paused at its first boundary. DESIGN.md §11 cites
+// the time per write and the state size.
+void BM_CheckpointWrite(benchmark::State& state) {
+  const auto& experiment = shared_experiment();
+  core::Options options;
+  options.f = 0.5;
+  options.threads = 1;
+  core::Engine engine(experiment.graph(), experiment.ip2as(),
+                      experiment.orgs(), experiment.relationships(), options);
+  core::Checkpoint checkpoint;
+  checkpoint.meta.config_hash = core::config_hash(options);
+  core::RunControl pause;
+  pause.on_boundary = [&](core::RunBoundary boundary, int iterations) {
+    checkpoint.boundary = boundary;
+    checkpoint.iterations_done = iterations;
+    return false;
+  };
+  if (engine.run_controlled(pause).completed()) {
+    state.SkipWithError("the run reached no boundary");
+    return;
+  }
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mapit_bench_checkpoint." + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = core::checkpoint_path(dir.string());
+  for (auto _ : state) {
+    checkpoint.engine_state = engine.save_state();
+    core::write_checkpoint(path, checkpoint);
+  }
+  state.counters["state_bytes"] =
+      static_cast<double>(checkpoint.engine_state.size());
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointWrite)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -74,9 +74,9 @@ struct Checkpoint {
 };
 
 /// FNV-1a hash of every Engine option that can change inference output.
-/// threads, capture_snapshots, and incremental_recount are deliberately
-/// excluded: all three are proven output-invariant (equivalence tests), so
-/// a run may legitimately resume with a different thread count.
+/// threads and capture_snapshots are deliberately excluded: both are
+/// proven output-invariant (equivalence tests), so a run may legitimately
+/// resume with a different thread count.
 [[nodiscard]] std::uint64_t config_hash(const Options& options);
 
 /// Folds `bytes` into an FNV-1a digest seeded with `seed` (use

@@ -1,13 +1,13 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <tuple>
 #include <utility>
 
 #include "core/checkpoint.h"
 #include "core/convergence.h"
+#include "core/wire.h"
 #include "net/error.h"
 #include "net/special_purpose.h"
 
@@ -523,9 +523,8 @@ void Engine::add_step() {
     freeze_view();
     // The first pass of every add step is a full sweep (suppressions were
     // just lifted); later passes only revisit dirtied halves.
-    const bool full_sweep = first_pass || !options_.incremental_recount;
-    take_work(full_sweep);
-    changed = direct_pass(full_sweep);
+    take_work(first_pass);
+    changed = direct_pass(first_pass);
     if (first_step && first_pass) snapshot("Direct");
     if (options_.resolve_duals) changed |= resolve_dual_inferences();
     if (first_step && first_pass) snapshot("P2P");
@@ -587,8 +586,7 @@ void Engine::remove_step() {
   while (discarded) {
     discarded = false;
     freeze_view();
-    const bool full_sweep = first_pass || !options_.incremental_recount;
-    take_work(full_sweep);
+    take_work(first_pass);
 
     // Pass 1: demote unsupported direct inferences to indirect, retaining
     // their mapping update. After the first (full) sweep, only halves
@@ -597,7 +595,7 @@ void Engine::remove_step() {
     // sweep evaluates on all workers and demotes sequentially in ascending
     // id order — demotion order matters because demote_direct's liveness
     // check reads the indirect source's (possibly just-demoted) state.
-    if (full_sweep) {
+    if (first_pass) {
       const std::size_t limit = graph_.record_half_count();
       if (pool_) {
         for (auto& buffer : demote_buffers_) buffer.clear();
@@ -910,78 +908,23 @@ constexpr std::uint8_t kMaskTouched = 0x80;
 
 constexpr std::uint32_t kStateBlobVersion = 1;
 
-void push_u32(std::string& out, std::uint32_t value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void push_u64(std::string& out, std::uint64_t value) {
-  out.append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-/// Bounds-checked reader for restore_state; every overrun throws instead of
-/// reading out of range.
-class BlobCursor {
- public:
-  explicit BlobCursor(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint8_t read_u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[offset_++]);
-  }
-
-  [[nodiscard]] std::uint32_t read_u32() {
-    need(4);
-    std::uint32_t value;
-    std::memcpy(&value, bytes_.data() + offset_, sizeof(value));
-    offset_ += sizeof(value);
-    return value;
-  }
-
-  [[nodiscard]] std::uint64_t read_u64() {
-    need(8);
-    std::uint64_t value;
-    std::memcpy(&value, bytes_.data() + offset_, sizeof(value));
-    offset_ += sizeof(value);
-    return value;
-  }
-
-  [[nodiscard]] std::string read_string(std::uint64_t count) {
-    need(count);
-    std::string out(bytes_.substr(offset_, count));
-    offset_ += count;
-    return out;
-  }
-
-  [[nodiscard]] bool exhausted() const { return offset_ == bytes_.size(); }
-
- private:
-  void need(std::uint64_t count) const {
-    if (count > bytes_.size() - offset_) {
-      throw CheckpointError("engine state blob truncated");
-    }
-  }
-
-  std::string_view bytes_;
-  std::size_t offset_ = 0;
-};
-
 }  // namespace
 
 std::string Engine::save_state() const {
   std::string blob;
-  push_u32(blob, kStateBlobVersion);
-  push_u64(blob, halves_.size());
+  wire::append_u32(blob, kStateBlobVersion);
+  wire::append_u64(blob, halves_.size());
 
-  push_u32(blob, static_cast<std::uint32_t>(stats_.iterations));
-  push_u32(blob, static_cast<std::uint32_t>(stats_.add_passes));
-  push_u64(blob, stats_.direct_made);
-  push_u64(blob, stats_.duals_resolved);
-  push_u64(blob, stats_.inverses_resolved);
-  push_u64(blob, stats_.uncertain_pairs);
-  push_u64(blob, stats_.divergent_other_sides);
-  push_u64(blob, stats_.demoted_in_remove_step);
-  push_u64(blob, stats_.removed_in_remove_step);
-  push_u64(blob, stats_.stub_inferences);
+  wire::append_u32(blob, static_cast<std::uint32_t>(stats_.iterations));
+  wire::append_u32(blob, static_cast<std::uint32_t>(stats_.add_passes));
+  wire::append_u64(blob, stats_.direct_made);
+  wire::append_u64(blob, stats_.duals_resolved);
+  wire::append_u64(blob, stats_.inverses_resolved);
+  wire::append_u64(blob, stats_.uncertain_pairs);
+  wire::append_u64(blob, stats_.divergent_other_sides);
+  wire::append_u64(blob, stats_.demoted_in_remove_step);
+  wire::append_u64(blob, stats_.removed_in_remove_step);
+  wire::append_u64(blob, stats_.stub_inferences);
   blob.push_back(stats_.converged ? 1 : 0);
 
   // Sparse per-half entries in ascending id order (canonical). A half is
@@ -1008,37 +951,39 @@ std::string Engine::save_state() const {
   for (std::size_t id = 0; id < halves; ++id) {
     if (entry_mask(id) != 0) ++entries;
   }
-  push_u64(blob, entries);
+  wire::append_u64(blob, entries);
   for (std::size_t id = 0; id < halves; ++id) {
     const std::uint8_t mask = entry_mask(id);
     if (mask == 0) continue;
     const HalfState& st = halves_[id];
-    push_u32(blob, static_cast<std::uint32_t>(id));
+    wire::append_u32(blob, static_cast<std::uint32_t>(id));
     blob.push_back(static_cast<char>(mask));
     if (mask & kMaskDirect) {
-      push_u32(blob, st.direct.router_as);
-      push_u32(blob, st.direct.other_as);
-      push_u32(blob, st.direct.votes);
-      push_u32(blob, st.direct.neighbor_count);
+      wire::append_u32(blob, st.direct.router_as);
+      wire::append_u32(blob, st.direct.other_as);
+      wire::append_u32(blob, st.direct.votes);
+      wire::append_u32(blob, st.direct.neighbor_count);
     }
-    if (mask & kMaskIndirectSource) push_u32(blob, indirect_source_[id]);
-    if (st.direct_override) push_u32(blob, *st.direct_override);
-    if (st.indirect_override) push_u32(blob, *st.indirect_override);
+    if (mask & kMaskIndirectSource) {
+      wire::append_u32(blob, indirect_source_[id]);
+    }
+    if (st.direct_override) wire::append_u32(blob, *st.direct_override);
+    if (st.indirect_override) wire::append_u32(blob, *st.indirect_override);
   }
 
   // Convergence tracker, in insertion order; hashes are recomputed at
   // restore time, so the blob never depends on std::hash stability.
   const std::vector<std::string>& states = tracker_.states();
-  push_u32(blob, static_cast<std::uint32_t>(states.size()));
+  wire::append_u32(blob, static_cast<std::uint32_t>(states.size()));
   for (const std::string& state : states) {
-    push_u64(blob, state.size());
+    wire::append_u64(blob, state.size());
     blob.append(state);
   }
   return blob;
 }
 
 void Engine::restore_state(const std::string& blob) {
-  BlobCursor cursor(blob);
+  wire::Cursor cursor(blob, "engine state blob");
   const std::uint32_t version = cursor.read_u32();
   if (version != kStateBlobVersion) {
     throw CheckpointError("unsupported engine state version " +
@@ -1115,7 +1060,7 @@ void Engine::restore_state(const std::string& blob) {
   ConvergenceTracker tracker;
   for (std::uint32_t t = 0; t < tracked; ++t) {
     const std::uint64_t size = cursor.read_u64();
-    std::string state = cursor.read_string(size);
+    std::string state(cursor.read_bytes(size));
     const std::uint64_t hash = std::hash<std::string>{}(state);
     if (tracker.seen_before(hash, std::move(state))) {
       throw CheckpointError("engine state tracker has duplicate states");

@@ -87,13 +87,6 @@ struct Options {
   bool resolve_inverses = true;       ///< §4.4.4 inverse-inference fixing
   bool stub_heuristic = true;         ///< §4.8
 
-  /// Dirty-set incremental recounting: passes after the first of each
-  /// add/remove step only revisit halves whose neighbour mappings changed.
-  /// Disabling forces a full sweep every pass; the results are identical
-  /// (asserted by tests/integration/engine_equivalence_test.cpp) — this
-  /// knob exists for that test and for perf ablation.
-  bool incremental_recount = true;
-
   /// Capture per-stage inference snapshots (Fig 7 instrumentation).
   bool capture_snapshots = false;
 

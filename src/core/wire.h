@@ -1,6 +1,7 @@
 // Low-level wire helpers shared by the checkpoint/journal artifact family
-// (checkpoint.cpp, journal.cpp): host-endian integer append and a
-// bounds-checked cursor. Their CRC-32 is net/crc32.h, shared with store/.
+// (checkpoint.cpp, journal.cpp, and the engine state blob in engine.cpp):
+// host-endian integer append and a bounds-checked cursor. Their CRC-32 is
+// net/crc32.h, shared with store/.
 //
 // Internal to core — not part of the public surface.
 #pragma once

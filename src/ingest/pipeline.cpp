@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/ipv4.h"
@@ -35,7 +36,7 @@ IngestPipeline::IngestPipeline(const IngestSetup& setup)
                                   setup.lenient)),
       meta_(core::input_meta(input_paths(setup), options_)) {}
 
-void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
+void IngestPipeline::fold(trace::TraceCorpus raw_delta) {
   if (raw_delta.empty()) return;
   delta_traces_ += raw_delta.size();
   const unsigned threads = parallel::resolve_threads(options_.threads);
@@ -43,7 +44,7 @@ void IngestPipeline::fold(const trace::TraceCorpus& raw_delta) {
     fold_pool_ = std::make_unique<parallel::ThreadPool>(threads);
   }
   const trace::SanitizeResult sanitized =
-      trace::sanitize(raw_delta, fold_pool_.get());
+      trace::sanitize(std::move(raw_delta), fold_pool_.get());
   // The witness population takes every raw delta address: the other-side
   // heuristic must see the traces and hops the sanitizer discarded.
   graph::LoadedGraph& corpus = base_->corpus;

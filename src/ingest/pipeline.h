@@ -69,7 +69,8 @@ class IngestPipeline {
   [[nodiscard]] const core::CheckpointMeta& meta() const { return meta_; }
 
   /// Folds one batch of raw (unsanitized) delta traces into the graph.
-  void fold(const trace::TraceCorpus& raw_delta);
+  /// A moved-in batch is sanitized in place; an lvalue is copied once.
+  void fold(trace::TraceCorpus raw_delta);
 
   /// Runs the pipeline's engine over the folded graph. Equal to a fresh
   /// engine's run over the same graph.

@@ -278,7 +278,7 @@ IngestStats run_ingest(const IngestOptions& options,
   stats.replayed_traces = journal_traces;
   stats.folded_traces = journal_traces;
   std::uint64_t total_traces = journal_traces;
-  pipeline.fold(replay_corpus);
+  pipeline.fold(std::move(replay_corpus));
 
   HealthState health;
   std::optional<HealthEndpoint> health_endpoint;
@@ -364,7 +364,7 @@ IngestStats run_ingest(const IngestOptions& options,
         for (PendingLine& entry : flush.inflight) {
           batch.add(std::move(entry.trace));
         }
-        pipeline.fold(batch);
+        pipeline.fold(std::move(batch));
         total_traces += flush.inflight.size();
         stats.folded_traces += flush.inflight.size();
         flush.stage = Stage::kPublish;

@@ -5,20 +5,24 @@
 // exact-size hop vector) and nothing per hop; the streaming load holds one
 // block of input plus the distinct addresses and pairs, whatever the
 // file's length; the interface graph allocates per record (its two
-// neighbour lists) and nothing per adjacency occurrence; the engine and
-// the snapshot build allocate a constant, nothing per output, half or
-// adjacency; a served request allocates nothing once the connection's
-// buffers have grown.
+// neighbour lists) and nothing per adjacency occurrence; an ingest fold
+// cleans a moved-in batch where it lies, copying none of its traces; the
+// engine and the snapshot build allocate a constant, nothing per output,
+// half or adjacency; a served request allocates nothing once the
+// connection's buffers have grown.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is a separate test executable.
 #include <gtest/gtest.h>
 #include <malloc.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <new>
 #include <optional>
@@ -30,6 +34,7 @@
 #include "core/engine.h"
 #include "eval/experiment.h"
 #include "graph/interface_graph.h"
+#include "ingest/pipeline.h"
 #include "net/load_report.h"
 #include "query/protocol.h"
 #include "query/query_engine.h"
@@ -332,6 +337,44 @@ TEST(AllocTripwire, GraphBuildAndFoldAllocatePerRecordNotPerAdjacency) {
         [&] { graph->fold(delta, sanitized.addresses, 1); });
     EXPECT_LE(fold, graph->size() + 100) << "fold at trace " << at;
   }
+}
+
+// What `mapit ingest` runs on each batch before publishing it: the batch
+// moves into the fold, which sanitizes it in place. The fold then
+// allocates for the graph's growth and a constant, not once per trace (a
+// copy of the batch would cost one hop vector per trace).
+TEST(AllocTripwire, IngestFoldCleansAMovedBatchInPlace) {
+  namespace fs = std::filesystem;
+  constexpr std::size_t kBatch = 1000;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("mapit_alloc_fold_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const eval::ExperimentConfig& config = experiment().config();
+  const std::vector<trace::Trace>& traces = experiment().raw_corpus().traces();
+  const std::size_t base = traces.size() / 2;
+  {
+    std::ofstream corpus(dir / "base.txt");
+    trace::write_corpus(corpus, slice(traces, 0, base));
+    std::ofstream rib(dir / "rib.txt");
+    experiment().internet().export_rib(config.noise, config.dataset_seed)
+        .write(rib);
+  }
+  ingest::IngestSetup setup;
+  setup.traces_path = (dir / "base.txt").string();
+  setup.rib_path = (dir / "rib.txt").string();
+  setup.options.threads = 1;
+  ingest::IngestPipeline pipeline(setup);
+
+  int folds = 0;
+  for (std::size_t at = base; at + kBatch <= traces.size(); at += kBatch) {
+    trace::TraceCorpus batch = slice(traces, at, at + kBatch);
+    const std::uint64_t fold =
+        allocations_of([&] { pipeline.fold(std::move(batch)); });
+    EXPECT_LT(fold, kBatch / 2) << "batch at trace " << at;
+    ++folds;
+  }
+  EXPECT_GE(folds, 2);
+  fs::remove_all(dir);
 }
 
 // What a cold `mapit snapshot` runs after the load: the engine over the

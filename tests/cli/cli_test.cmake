@@ -321,3 +321,15 @@ if(NOT rc EQUAL 2)
 endif()
 
 message(STATUS "cli checkpoint/resume OK (${legs} resume legs)")
+
+# `mapit supervise` is configured by its spec alone: a flag named after a
+# `set` key is an unknown argument (exit 2), reported before the spec is
+# checked for workers.
+file(WRITE ${WORK_DIR}/EMPTY.spec "# no workers\n")
+execute_process(
+  COMMAND ${MAPIT_BIN} supervise ${WORK_DIR}/EMPTY.spec --drain 1
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "unknown argument: --drain")
+  message(FATAL_ERROR "supervise --drain should exit 2 as an unknown "
+          "argument, got ${rc}: ${err}")
+endif()

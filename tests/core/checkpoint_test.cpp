@@ -179,9 +179,9 @@ TEST_F(CheckpointTest, ConfigHashCoversEveryOutputAffectingOption) {
 }
 
 TEST_F(CheckpointTest, ConfigHashIgnoresOutputInvariantKnobs) {
-  // threads, capture_snapshots, and incremental_recount are proven
-  // output-invariant (engine equivalence tests), so a resume may change
-  // them freely — the hash must not see them.
+  // threads and capture_snapshots are proven output-invariant (engine
+  // equivalence tests), so a resume may change them freely — the hash
+  // must not see them.
   const Options base;
   const std::uint64_t reference = config_hash(base);
   Options changed = base;
@@ -189,9 +189,6 @@ TEST_F(CheckpointTest, ConfigHashIgnoresOutputInvariantKnobs) {
   EXPECT_EQ(config_hash(changed), reference);
   changed = base;
   changed.capture_snapshots = true;
-  EXPECT_EQ(config_hash(changed), reference);
-  changed = base;
-  changed.incremental_recount = false;
   EXPECT_EQ(config_hash(changed), reference);
 }
 

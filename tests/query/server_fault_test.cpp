@@ -5,7 +5,7 @@
 // suite over the AsyncServer, named "Async", which keeps its ctest names
 // (ServerFaultTest/Async.*) stable. The soak test at the end runs all of
 // it at once and still expects golden answers; the TSan CI job runs this
-// whole binary (FAULT_MATRIX stage).
+// whole binary (the `fault` stage of tools/ci.sh).
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>

@@ -33,8 +33,8 @@ struct Output {
 };
 
 /// Runs MAP-IT over `graph`. Reads only the algorithm's options (f, the
-/// remove rule, the ablation toggles, max_iterations); threads,
-/// incremental_recount and capture_snapshots do not apply.
+/// remove rule, the ablation toggles, max_iterations); threads and
+/// capture_snapshots do not apply.
 [[nodiscard]] Output naive_mapit(const graph::InterfaceGraph& graph,
                                  const bgp::Ip2As& ip2as,
                                  const asdata::As2Org& orgs,

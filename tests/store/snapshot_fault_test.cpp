@@ -2,8 +2,8 @@
 // rename/fsync at ANY injected syscall of write_snapshot_file must leave
 // the destination path holding either the complete old artifact or the
 // complete new one — CRC-valid and fully readable — never a torn file.
-// This is the test the ISSUE's acceptance criteria pin; tools/ci.sh runs
-// it inside the SNAPSHOT_SMOKE stage as well as the FAULT_MATRIX stage.
+// tools/ci.sh runs it in its `snapshot` stage as well as its `fault`
+// stage.
 #include "store/writer.h"
 
 #include <gtest/gtest.h>

@@ -3,15 +3,29 @@
 # anywhere; operates on the repo root. Behaviour is driven by env vars so
 # every job in .github/workflows/ci.yml calls this same script:
 #
-#   STAGES        comma/space-separated stage list. `configure` and `build`
-#                 always run first; the rest are selectable:
+#   STAGES        comma/space-separated stage list, run in the order given.
+#                 `configure` and `build` always run first; the rest are
+#                 selectable:
 #                   test       ctest (honours CTEST_LABELS)
-#                   fault      fault-injection matrices (ctest -L fault)
-#                   checkpoint kill/resume matrix through the real binary
-#                   bench      bench smoke + inference-count tripwire
-#                   snapshot   CLI snapshot + golden queries + CRC tripwire
-#                              + the streamed cold path over several blocks
-#                   serve      query server smoke over both wire protocols
+#                   fault      fault-injection matrices (ctest -L fault):
+#                              crash-at-every-syscall artifact tests and the
+#                              server chaos/soak tests
+#                   checkpoint kill the CLI at every run boundary
+#                              (--stop-after), chain --resume to completion
+#                              at threads 1 and 8, and require inferences
+#                              byte-identical to an uninterrupted run; also
+#                              the deadline checkpoint-and-exit path
+#                   bench      perf_micro smoke (runs every case once)
+#                   snapshot   the standard run pinned through the CLI
+#                              (size, CRC and inference count), golden
+#                              query answers, the streamed cold path over
+#                              several blocks, the snapshot crash matrix
+#                   serve      `mapit serve` on a real snapshot: the golden
+#                              answers over both wire protocols, then a
+#                              SIGTERM graceful drain
+#                   supervise  self-healing smoke: supervised worker fleet,
+#                              kill -9 one mid-replay, zero failed golden
+#                              answers + automatic restart, SIGTERM drain
 #                   ingest     streaming-ingest smoke: cold-vs-incremental
 #                              equivalence + kill-mid-journal resume
 #                   remote     MDP1 remote delta transport smoke: `mapit
@@ -20,66 +34,17 @@
 #                              and require the published snapshot to be
 #                              byte-identical to a cold batch run; wrong
 #                              secret must be rejected with exit 7
-#                   supervise  self-healing smoke: supervised worker fleet,
-#                              kill -9 one mid-replay, zero failed golden
-#                              answers + automatic restart, SIGTERM drain
 #                   sweep      differential baseline sweep vs DIFF_sweep.json
 #                   fuzz       bounded libFuzzer smoke via tools/fuzz.sh
 #                              (clang only; replays regressions first)
-#                 Unset: the legacy per-stage toggles below pick the set.
-#                 A stage-timing table is printed on exit either way.
+#                 Unset or empty: every stage above but `fuzz`, in the order
+#                 listed. A stage-timing table is printed on exit either way.
 #   BUILD_TYPE    CMake build type (default RelWithDebInfo)
 #   SANITIZE      MAPIT_SANITIZE value, e.g. "address;undefined" or "thread"
 #                 (default: none)
 #   WERROR        MAPIT_WERROR, ON or OFF (default OFF)
 #   CTEST_LABELS  regex for ctest -L, e.g. "unit|integration" to skip the
 #                 slow standard-scale tests in sanitizer jobs (default: all)
-#   BENCH_SMOKE   1 = run the bench smoke + inference-count tripwire,
-#                 0 = skip, e.g. under sanitizers (default 1)
-#   SNAPSHOT_SMOKE 1 = build a snapshot through the CLI, run the canned
-#                 query batch against the committed golden answers, and
-#                 check the standard run's artifact CRC against the
-#                 committed BENCH_query.json (default: BENCH_SMOKE)
-#   FAULT_MATRIX  1 = run the fault-injection matrices (ctest -L fault):
-#                 crash-at-every-syscall artifact tests and the server
-#                 chaos/soak tests. Cheap; sanitizer jobs rely on it
-#                 (default 1)
-#   CHECKPOINT_MATRIX 1 = kill the CLI at every run boundary (--stop-after),
-#                 chain --resume until completion for threads 1 and 8, and
-#                 require byte-identical inferences vs an uninterrupted
-#                 run; also checks the deadline checkpoint-and-exit path
-#                 (default: FAULT_MATRIX)
-#   SERVE_SMOKE   1 = boot `mapit serve` on a real snapshot and
-#                 replay the canned query batch over both wire protocols
-#                 (line and binary), diffing each response stream against
-#                 the committed golden answers; ends with a SIGTERM
-#                 graceful-drain check (default: SNAPSHOT_SMOKE)
-#   SUPERVISE_SMOKE 1 = boot a supervised two-worker serve fleet, kill -9
-#                 one worker mid-replay, and require zero failed golden
-#                 answers plus a recorded automatic restart; ends with a
-#                 SIGTERM cascade that must drain the fleet
-#                 (default: SERVE_SMOKE)
-#   INGEST_SMOKE  1 = stream the tail of a seeded corpus through
-#                 `mapit ingest --drain` and require the published snapshot
-#                 to be byte-identical to a cold `mapit snapshot` over the
-#                 full corpus; then truncate the delta journal twice (deep
-#                 cut and torn frame) and re-ingest — every resume must
-#                 converge to the same bytes (default: SNAPSHOT_SMOKE)
-#   REMOTE_INGEST_SMOKE 1 = stream a delta corpus with `mapit send` into
-#                 `mapit ingest --listen` over the authenticated MDP1
-#                 transport, kill -9 the sender mid-stream twice and
-#                 restart it (the receiver's (session, seq) watermark must
-#                 drop every replayed batch), then require the published
-#                 snapshot and a journal-replay re-run to be byte-identical
-#                 to a cold `mapit snapshot` over base+delta; also checks
-#                 that a wrong shared secret is refused at HELLO with
-#                 exit 7 and no journal growth (default: INGEST_SMOKE)
-#   DIFF_SWEEP    1 = run the MAP-IT vs baselines sweep over the default
-#                 artifact-rate × seed grid and require exact agreement
-#                 with the committed DIFF_sweep.json (default: BENCH_SMOKE)
-#   FUZZ_SMOKE    1 = replay committed fuzz regressions, then fuzz every
-#                 harness for FUZZ_TIME seconds under ASan+UBSan. Needs
-#                 clang; see tools/fuzz.sh (default 0)
 #   FUZZ_TIME     seconds per fuzz target in the fuzz stage (default 60)
 #   BUILD_DIR     override the derived build directory
 #   JOBS          parallel build/test jobs (default: nproc)
@@ -90,16 +55,6 @@ BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}"
 SANITIZE="${SANITIZE:-}"
 WERROR="${WERROR:-OFF}"
 CTEST_LABELS="${CTEST_LABELS:-}"
-BENCH_SMOKE="${BENCH_SMOKE:-1}"
-SNAPSHOT_SMOKE="${SNAPSHOT_SMOKE:-${BENCH_SMOKE}}"
-FAULT_MATRIX="${FAULT_MATRIX:-1}"
-CHECKPOINT_MATRIX="${CHECKPOINT_MATRIX:-${FAULT_MATRIX}}"
-SERVE_SMOKE="${SERVE_SMOKE:-${SNAPSHOT_SMOKE}}"
-SUPERVISE_SMOKE="${SUPERVISE_SMOKE:-${SERVE_SMOKE}}"
-INGEST_SMOKE="${INGEST_SMOKE:-${SNAPSHOT_SMOKE}}"
-REMOTE_INGEST_SMOKE="${REMOTE_INGEST_SMOKE:-${INGEST_SMOKE}}"
-DIFF_SWEEP="${DIFF_SWEEP:-${BENCH_SMOKE}}"
-FUZZ_SMOKE="${FUZZ_SMOKE:-0}"
 FUZZ_TIME="${FUZZ_TIME:-60}"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
@@ -263,37 +218,45 @@ stage_checkpoint() {
 
 stage_bench() {
   echo "== bench smoke =="
-  # Minimal measurement time: checks the bench binaries run, not their
-  # numbers.
+  # Minimal measurement time: checks that every micro-benchmark runs, not
+  # its numbers.
   "${BUILD_DIR}/bench/perf_micro" --benchmark_min_time=0.01
-
-  echo "== inference-count tripwire =="
-  # perf_engine_report re-runs the standard experiment; its inference count
-  # must match the committed BENCH_engine.json. A drift means the engine's
-  # output changed — that must be a deliberate, reviewed update of the
-  # committed report, never a side effect.
-  local report="${BUILD_DIR}/bench_smoke_report.json"
-  "${BUILD_DIR}/bench/perf_engine_report" --reps 1 --threads 1,2 \
-    --out "${report}"
-  python3 - "${report}" "${REPO_ROOT}/BENCH_engine.json" <<'EOF'
-import json, sys
-fresh = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-got, want = fresh["standard_inferences"], committed["standard_inferences"]
-if got != want:
-    sys.exit(f"standard_inferences drifted: got {got}, committed {want}")
-print(f"standard_inferences == {want}: ok")
-EOF
 }
 
 stage_snapshot() {
+  echo "== standard run pinned through the CLI =="
+  # The standard-scale experiment's inputs (default seed) through the
+  # binary users run: text parse, graph load, datasets, engine, snapshot
+  # writer. Size, CRC and inference count must equal the pin exactly. Any
+  # change to the engine's output or the artifact encoding must arrive as
+  # a deliberate, reviewed edit of this constant, never as a side effect.
+  local pinned="197128 bytes, crc32 e6635cdf, 3566 inferences (0 uncertain)"
+  local mapit_bin="${BUILD_DIR}/tools/mapit"
+  local standard="${BUILD_DIR}/standard_run"
+  rm -rf "${standard}"
+  mkdir -p "${standard}"
+  "${mapit_bin}" simulate --out "${standard}" --scale standard
+  local summary got
+  summary="$("${mapit_bin}" snapshot --traces "${standard}/traces.txt" \
+    --rib "${standard}/rib.txt" \
+    --relationships "${standard}/relationships.txt" \
+    --as2org "${standard}/as2org.txt" --ixps "${standard}/ixps.txt" \
+    --out "${standard}/snapshot.bin")"
+  echo "${summary}"
+  local fields='[0-9]* bytes, crc32 [0-9a-f]*, [0-9]* inferences ([0-9]* uncertain)'
+  got="$(sed -n "s/^snapshot .*: \(${fields}\),.*/\1/p" <<< "${summary}")"
+  if [[ "${got}" != "${pinned}" ]]; then
+    echo "standard run drifted: got '${got}', pinned '${pinned}'" >&2
+    exit 1
+  fi
+  echo "standard run == ${pinned}: ok"
+
   echo "== snapshot smoke =="
   # Build a snapshot through the CLI from seeded synthetic datasets, answer
   # the committed canned query batch, and diff against the committed golden
   # answers. The batch ends with `stats`, whose answer embeds the artifact's
   # CRC — so byte-determinism drift, format drift, and engine-output drift
   # all fail this diff, not just protocol regressions.
-  local mapit_bin="${BUILD_DIR}/tools/mapit"
   local work="${BUILD_DIR}/snapshot_smoke"
   rm -rf "${work}"
   mkdir -p "${work}"
@@ -366,24 +329,6 @@ EOF
   # just consumed: whatever syscall dies mid-replace, the destination path
   # must still hold a complete, CRC-valid snapshot.
   "${BUILD_DIR}/tests/mapit_store_fault_test"
-
-  echo "== snapshot checksum tripwire (standard run) =="
-  # perf_query_report rebuilds the standard experiment's snapshot; its CRC
-  # and inference count must match the committed BENCH_query.json. Any
-  # change to the engine's output or the artifact encoding must arrive as a
-  # deliberate update of the committed report.
-  local query_report="${BUILD_DIR}/snapshot_smoke_report.json"
-  "${BUILD_DIR}/bench/perf_query_report" --reps 1 --out "${query_report}"
-  python3 - "${query_report}" "${REPO_ROOT}/BENCH_query.json" <<'EOF'
-import json, sys
-fresh = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-for key in ("snapshot_crc32", "snapshot_bytes", "standard_inferences"):
-    got, want = fresh[key], committed[key]
-    if got != want:
-        sys.exit(f"{key} drifted: got {got}, committed {want}")
-    print(f"{key} == {want}: ok")
-EOF
 }
 
 stage_serve() {
@@ -827,34 +772,20 @@ stage_fuzz() {
 }
 
 # ---------------------------------------------------------------------------
-# Stage selection: STAGES wins; otherwise derive the list from the legacy
-# per-stage toggles so existing CI jobs keep working unchanged.
-if [[ -n "${STAGES:-}" ]]; then
-  SELECTED=()
-  for stage in $(echo "${STAGES}" | tr ',' ' '); do
-    case "${stage}" in
-      configure|build) ;;  # always run; listed for convenience
-      test|fault|checkpoint|bench|snapshot|serve|ingest|remote|supervise|sweep|fuzz)
-        SELECTED+=("${stage}") ;;
-      *)
-        echo "ci.sh: unknown stage '${stage}' (valid: test fault checkpoint" \
-             "bench snapshot serve ingest remote supervise sweep fuzz)" >&2
-        exit 2 ;;
-    esac
-  done
-else
-  SELECTED=(test)
-  if [[ "${FAULT_MATRIX}" == "1" ]]; then SELECTED+=(fault); fi
-  if [[ "${CHECKPOINT_MATRIX}" == "1" ]]; then SELECTED+=(checkpoint); fi
-  if [[ "${BENCH_SMOKE}" == "1" ]]; then SELECTED+=(bench); fi
-  if [[ "${SNAPSHOT_SMOKE}" == "1" ]]; then SELECTED+=(snapshot); fi
-  if [[ "${SERVE_SMOKE}" == "1" ]]; then SELECTED+=(serve); fi
-  if [[ "${SUPERVISE_SMOKE}" == "1" ]]; then SELECTED+=(supervise); fi
-  if [[ "${INGEST_SMOKE}" == "1" ]]; then SELECTED+=(ingest); fi
-  if [[ "${REMOTE_INGEST_SMOKE}" == "1" ]]; then SELECTED+=(remote); fi
-  if [[ "${DIFF_SWEEP}" == "1" ]]; then SELECTED+=(sweep); fi
-  if [[ "${FUZZ_SMOKE}" == "1" ]]; then SELECTED+=(fuzz); fi
-fi
+# Stage selection: STAGES, or every stage but fuzz.
+SELECTED=()
+for stage in $(echo "${STAGES:-test fault checkpoint bench snapshot serve \
+                              supervise ingest remote sweep}" | tr ',' ' '); do
+  case "${stage}" in
+    configure|build) ;;  # always run; listed for convenience
+    test|fault|checkpoint|bench|snapshot|serve|supervise|ingest|remote|sweep|fuzz)
+      SELECTED+=("${stage}") ;;
+    *)
+      echo "ci.sh: unknown stage '${stage}' (valid: test fault checkpoint" \
+           "bench snapshot serve supervise ingest remote sweep fuzz)" >&2
+      exit 2 ;;
+  esac
+done
 
 run_stage configure
 run_stage build

@@ -243,10 +243,8 @@ constexpr int kExitTransportGaveUp = 8;  ///< send: reconnect attempts
       "      on its probe port is killed and restarted; breaker-restarts\n"
       "      exits within breaker-window-s abandon that worker (exit 6\n"
       "      at shutdown) while the rest keep serving. SIGTERM/SIGINT\n"
-      "      cascade a bounded graceful drain; SIGHUP is forwarded\n"
-      "      --restart-base-ms/--restart-cap-ms/--breaker-restarts/\n"
-      "      --breaker-window/--probe-interval/--probe-timeout/\n"
-      "      --probe-misses/--probe-grace/--drain override the spec\n"
+      "      cascade a bounded graceful drain; SIGHUP is forwarded to the\n"
+      "      workers\n"
       "  mapit help\n"
       "\n"
       "exit codes (shared by every subcommand; see README):\n"
@@ -1176,34 +1174,6 @@ int cmd_supervise(Args& args) {
     std::cerr << "supervise: " << error.what() << "\n";
     return kExitUsage;
   }
-  // Flag overrides beat the spec (same precedence as everywhere else:
-  // command line wins over file).
-  const auto int_override = [&](const char* flag, int& field,
-                                unsigned long max) {
-    if (const auto value = args.value(flag)) {
-      const auto parsed = parse_bounded(*value, max);
-      if (!parsed) {
-        std::cerr << flag << " expects an integer in [0, " << max
-                  << "], got '" << *value << "'\n";
-        std::exit(kExitUsage);
-      }
-      field = static_cast<int>(*parsed);
-    }
-  };
-  const auto seconds_override = [&](const char* flag, double& field) {
-    if (const auto value = args.value(flag)) {
-      field = parse_seconds_or_die(flag, *value);
-    }
-  };
-  int_override("--restart-base-ms", options.restart_base_ms, 1UL << 20);
-  int_override("--restart-cap-ms", options.restart_cap_ms, 1UL << 26);
-  int_override("--breaker-restarts", options.breaker_restarts, 1UL << 16);
-  int_override("--probe-misses", options.probe_misses, 1UL << 16);
-  seconds_override("--breaker-window", options.breaker_window_s);
-  seconds_override("--probe-interval", options.probe_interval_s);
-  seconds_override("--probe-timeout", options.probe_timeout_s);
-  seconds_override("--probe-grace", options.probe_grace_s);
-  seconds_override("--drain", options.drain_s);
   args.reject_unknown();
   if (options.workers.empty()) {
     std::cerr << "supervise: " << *spec_path << " declares no workers\n";
