@@ -2,7 +2,8 @@
 // longest-prefix-match lookups, the cold path's layers (parsing,
 // sanitization, distinct addresses, neighbour-set construction) and the
 // streaming pass that fuses them, the ingest fold, the end-to-end MAP-IT
-// engine at two corpus scales, and one checkpoint write.
+// engine at two corpus scales, the resident engine's republish after a
+// fold, and one checkpoint write.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 
 #include "baselines/claims.h"
 #include "core/checkpoint.h"
+#include "core/engine.h"
 #include "eval/experiment.h"
 #include "graph/interface_graph.h"
 #include "trace/sanitize.h"
@@ -135,37 +137,44 @@ void BM_ReadGraphShuffled(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadGraphShuffled)->Unit(benchmark::kMillisecond);
 
-// One ingest fold, as `mapit ingest` folds each 1,000-trace batch: sanitize
-// the delta, merge its addresses into the witness population, fold it into
-// the graph (which rebuilds the dense layout). The graph holds the standard
-// corpus but its last 8,000 traces; each iteration folds the next of those
-// eight deltas into a fresh copy of it (the copy is not timed).
-void BM_GraphFold(benchmark::State& state) {
-  constexpr std::size_t kDeltaTraces = 1000;
-  constexpr std::size_t kDeltas = 8;
-  const std::vector<trace::Trace>& raw =
-      shared_experiment().raw_corpus().traces();
-  const auto corpus_of = [&](std::size_t begin, std::size_t end) {
+// The standard corpus split as `mapit ingest` sees it: a base graph of all
+// but its last 8,000 traces, and those as eight 1,000-trace deltas.
+struct FoldCorpus {
+  static constexpr std::size_t kDeltaTraces = 1000;
+  static constexpr std::size_t kDeltas = 8;
+
+  trace::SanitizeResult base;
+  graph::InterfaceGraph base_graph;
+  std::vector<trace::TraceCorpus> deltas;
+
+  static trace::TraceCorpus slice(std::size_t begin, std::size_t end) {
+    const std::vector<trace::Trace>& raw =
+        shared_experiment().raw_corpus().traces();
     return trace::TraceCorpus(std::vector<trace::Trace>(
         raw.begin() + static_cast<std::ptrdiff_t>(begin),
         raw.begin() + static_cast<std::ptrdiff_t>(end)));
-  };
-  const std::size_t base_traces = raw.size() - kDeltaTraces * kDeltas;
-  const trace::SanitizeResult base = trace::sanitize(corpus_of(0, base_traces));
-  const graph::InterfaceGraph base_graph(base.clean, base.addresses);
-  std::vector<trace::TraceCorpus> deltas;
-  for (std::size_t d = 0; d < kDeltas; ++d) {
-    const std::size_t begin = base_traces + d * kDeltaTraces;
-    deltas.push_back(corpus_of(begin, begin + kDeltaTraces));
   }
 
-  std::size_t next = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    graph::InterfaceGraph graph = base_graph;
-    std::vector<net::Ipv4Address> population = base.addresses;
-    const trace::TraceCorpus& delta = deltas[next++ % kDeltas];
-    state.ResumeTiming();
+  FoldCorpus()
+      : base(trace::sanitize(slice(0, base_traces()))),
+        base_graph(base.clean, base.addresses) {
+    for (std::size_t d = 0; d < kDeltas; ++d) {
+      const std::size_t begin = base_traces() + d * kDeltaTraces;
+      deltas.push_back(slice(begin, begin + kDeltaTraces));
+    }
+  }
+
+  static std::size_t base_traces() {
+    return shared_experiment().raw_corpus().traces().size() -
+           kDeltaTraces * kDeltas;
+  }
+
+  /// What `mapit ingest` does with a delta before publishing: sanitize it,
+  /// merge its addresses into the witness population, fold it into the
+  /// graph (which rebuilds the dense layout).
+  static void fold(graph::InterfaceGraph& graph,
+                   std::vector<net::Ipv4Address>& population,
+                   const trace::TraceCorpus& delta) {
     const trace::SanitizeResult sanitized = trace::sanitize(delta);
     const std::size_t kept = population.size();
     population.insert(population.end(), sanitized.addresses.begin(),
@@ -176,10 +185,54 @@ void BM_GraphFold(benchmark::State& state) {
     population.erase(std::unique(population.begin(), population.end()),
                      population.end());
     graph.fold(sanitized.clean, population);
+  }
+};
+
+// One ingest fold. Each iteration folds the next of the eight deltas into
+// a fresh copy of the base graph (the copy is not timed).
+void BM_GraphFold(benchmark::State& state) {
+  const FoldCorpus corpus;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    graph::InterfaceGraph graph = corpus.base_graph;
+    std::vector<net::Ipv4Address> population = corpus.base.addresses;
+    const trace::TraceCorpus& delta =
+        corpus.deltas[next++ % FoldCorpus::kDeltas];
+    state.ResumeTiming();
+    FoldCorpus::fold(graph, population, delta);
     benchmark::DoNotOptimize(graph.half_count());
   }
 }
 BENCHMARK(BM_GraphFold)->Unit(benchmark::kMillisecond);
+
+// The engine's share of one ingest publish: a resident Engine (threads 1)
+// re-run over the graph after each fold of the next delta. The fold is not
+// timed; after the eighth delta the graph starts again from the base.
+void BM_EngineRepublish(benchmark::State& state) {
+  const FoldCorpus corpus;
+  const auto& experiment = shared_experiment();
+  core::Options options;
+  options.threads = 1;
+  graph::InterfaceGraph graph = corpus.base_graph;
+  std::vector<net::Ipv4Address> population = corpus.base.addresses;
+  core::Engine engine(graph, experiment.ip2as(), experiment.orgs(),
+                      experiment.relationships(), options);
+  benchmark::DoNotOptimize(engine.run());  // warm the base-mapping cache
+  std::size_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (next % FoldCorpus::kDeltas == 0) {
+      graph = corpus.base_graph;
+      population = corpus.base.addresses;
+    }
+    FoldCorpus::fold(graph, population,
+                     corpus.deltas[next++ % FoldCorpus::kDeltas]);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(engine.run());
+  }
+}
+BENCHMARK(BM_EngineRepublish)->Unit(benchmark::kMillisecond);
 
 void BM_MapItEngineSmall(benchmark::State& state) {
   const auto& experiment = small_experiment();

@@ -1,6 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <functional>
 #include <tuple>
 #include <utility>
@@ -65,9 +67,11 @@ void Engine::reset_state() {
   const std::size_t halves = graph_.half_count();
   halves_.assign(halves, HalfState{});
   has_direct_.assign(halves, 0);
+  direct_index_.resize(halves);
+  directs_.clear();
   indirect_source_.assign(halves, graph::kInvalidHalfId);
+  held_.reset(halves);
   touched_.assign(halves, 0);
-  dirty_flag_.assign(halves, 0);
   base_.resize(halves);
   base_group_.resize(halves);
   resolve_base();
@@ -76,8 +80,10 @@ void Engine::reset_state() {
   view_group_ = base_group_;
   stale_.clear();
   stale_.reserve(halves);  // one buffer for every pass's stale ids
-  dirty_.clear();
-  work_.clear();
+  add_pending_.reset(halves);
+  remove_pending_.reset(halves);
+  add_sweep_ = true;
+  remove_sweep_ = false;
   suppressed_list_.clear();
   uncertain_list_.clear();
   stats_ = EngineStats{};
@@ -108,8 +114,7 @@ void Engine::resolve_base() {
         entry = *cached;
       } else {
         const asdata::Asn asn = ip2as_.origin(address);
-        entry = {address, asn,
-                 asn == asdata::kUnknownAsn ? 0 : group_key(asn)};
+        entry = {address, asn, group_key(asn)};
       }
       base_[id] = base_[id + 1] = entry.asn;
       base_group_[id] = base_group_[id + 1] = entry.group;
@@ -132,9 +137,7 @@ asdata::Asn Engine::effective_as(HalfId id) const {
 
 std::pair<asdata::Asn, std::uint64_t> Engine::view_entry(HalfId id) const {
   const HalfState& st = halves_[id];
-  if (st.direct_override) {
-    return {*st.direct_override, group_key(*st.direct_override)};
-  }
+  if (st.direct_override) return {*st.direct_override, direct(id).router_group};
   if (st.indirect_override) {
     return {*st.indirect_override, group_key(*st.indirect_override)};
   }
@@ -153,19 +156,28 @@ void Engine::freeze_view() {
   stale_.clear();
 #ifndef NDEBUG
   for (std::size_t id = 0; id < halves_.size(); ++id) {
-    if (std::make_pair(view_[id], view_group_[id]) !=
-        view_entry(static_cast<HalfId>(id))) {
-      throw InvariantError("engine frozen view is stale at half " +
-                           std::to_string(id));
-    }
-    // Every write site that makes or drops a direct or indirect inference
-    // sets the half's override and its slab entry together.
+    const auto half = static_cast<HalfId>(id);
     const HalfState& st = halves_[id];
-    if ((has_direct_[id] != 0) != st.direct_override.has_value() ||
-        (indirect_source_[id] != graph::kInvalidHalfId) !=
-            st.indirect_override.has_value()) {
+    // Every write site that makes or drops a direct or indirect inference
+    // sets the half's override, its slab entry and its held_ bit together,
+    // and a direct inference carries its ASes' group keys.
+    const bool holds_direct = has_direct_[id] != 0;
+    const bool indirect = indirect_source_[id] != graph::kInvalidHalfId;
+    if (holds_direct != st.direct_override.has_value() ||
+        indirect != st.indirect_override.has_value() ||
+        ((holds_direct || indirect) && !held_.contains(half)) ||
+        (holds_direct && (*st.direct_override != direct(half).router_as ||
+                          direct(half).router_group !=
+                              group_key(direct(half).router_as) ||
+                          direct(half).other_group !=
+                              group_key(direct(half).other_as)))) {
       throw InvariantError("engine scan slabs disagree with the state of "
                            "half " + std::to_string(id));
+    }
+    const asdata::Asn asn = effective_as(half);
+    if (view_[id] != asn || view_group_[id] != group_key(asn)) {
+      throw InvariantError("engine frozen view is stale at half " +
+                           std::to_string(id));
     }
   }
 #endif
@@ -238,6 +250,7 @@ Engine::MajorityResult Engine::count_majority(
       runner_up = best.count;
       best.count = group.count;
       best.asn = representative;
+      best.key = group.key;
     } else if (group.count > runner_up) {
       runner_up = group.count;
     }
@@ -246,8 +259,7 @@ Engine::MajorityResult Engine::count_majority(
   return best;
 }
 
-std::size_t Engine::group_count(HalfId id, asdata::Asn target) const {
-  const std::uint64_t key = group_key(target);
+std::size_t Engine::group_count(HalfId id, std::uint64_t key) const {
   std::size_t count = 0;
   for (HalfId nid : graph_.neighbor_ids(id)) {
     if (view_[nid] != asdata::kUnknownAsn && view_group_[nid] == key) ++count;
@@ -256,14 +268,44 @@ std::size_t Engine::group_count(HalfId id, asdata::Asn target) const {
 }
 
 // ---------------------------------------------------------------------------
-// Dirty-set propagation
+// Half sets
+// ---------------------------------------------------------------------------
+
+template <typename Fn>
+void Engine::HalfSet::for_each(Fn&& fn) const {
+  for (std::size_t word = 0; word < words.size(); ++word) {
+    for (std::uint64_t bits = words[word]; bits != 0; bits &= bits - 1) {
+      fn(static_cast<HalfId>(word * 64 +
+                             static_cast<unsigned>(std::countr_zero(bits))));
+    }
+  }
+}
+
+template <typename Fn>
+void Engine::HalfSet::drain(Fn&& fn) {
+  for (std::size_t word = 0; word < words.size(); ++word) {
+    const std::uint64_t bits = std::exchange(words[word], 0);
+    for (std::uint64_t rest = bits; rest != 0; rest &= rest - 1) {
+      fn(static_cast<HalfId>(word * 64 +
+                             static_cast<unsigned>(std::countr_zero(rest))));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pending sets
 // ---------------------------------------------------------------------------
 
 void Engine::mark_dependents_dirty(HalfId id) {
+  // Holding a direct inference makes the add verdict "none" and is the
+  // only way to a remove verdict other than "keep"; a half that gains or
+  // loses one is queued by that write itself (make_direct, demote_direct;
+  // discard_direct suppresses the half, and lifting that queues it).
   for (HalfId dependent : graph_.reverse_neighbor_ids(id)) {
-    if (!dirty_flag_[dependent]) {
-      dirty_flag_[dependent] = 1;
-      dirty_.push_back(dependent);
+    if (has_direct_[dependent]) {
+      remove_pending_.insert(dependent);
+    } else {
+      add_pending_.insert(dependent);
     }
   }
 }
@@ -276,23 +318,6 @@ void Engine::mutate_mapping(HalfId id, Fn&& fn) {
     mark_dependents_dirty(id);
     stale_.push_back(id);
   }
-}
-
-void Engine::take_work(bool full_sweep) {
-  work_.clear();
-  if (full_sweep) {
-    // The sweep visits every half; the pending set only needs dropping.
-    for (HalfId id : dirty_) dirty_flag_[id] = 0;
-    dirty_.clear();
-    return;
-  }
-  std::swap(work_, dirty_);
-  for (HalfId id : work_) dirty_flag_[id] = 0;
-  // Ascending id order is the order a full sweep visits record halves in,
-  // so an incremental pass repeats a full sweep's visit order — last-writer
-  // effects (e.g. two sources propagating an indirect inference onto the
-  // same other side) stay identical.
-  std::sort(work_.begin(), work_.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -312,17 +337,17 @@ void Engine::clear_flags(std::vector<HalfId>& list, bool HalfState::*flag) {
 #endif
 }
 
-void Engine::discard_direct(HalfId id, bool suppress) {
+void Engine::discard_direct(HalfId id) {
   if (!has_direct_[id]) return;
   mutate_mapping(id, [&](HalfState& s) {
     has_direct_[id] = 0;
     s.direct_override.reset();
     s.uncertain = false;
-    if (suppress) {
-      s.suppressed = true;
-      suppressed_list_.push_back(id);
-    }
+    // Until the next add step, whose opening queues the half for add
+    // evaluation when it lifts the suppression.
+    s.suppressed = true;
   });
+  suppressed_list_.push_back(id);
   // The indirect inference propagated to the other side dies with its
   // source (§4.4.2).
   const HalfId other = graph_.other_side_id(id);
@@ -351,8 +376,9 @@ void Engine::apply_indirect(HalfId source) {
   const HalfId other = graph_.other_side_id(source);
   if (other == graph::kInvalidHalfId) return;
   if (net::is_special_purpose(graph_.address_at(other))) return;
-  const asdata::Asn router = halves_[source].direct.router_as;
+  const asdata::Asn router = direct(source).router_as;
   touched_[other] = 1;
+  held_.insert(other);
   mutate_mapping(other, [&](HalfState& ot) {
     indirect_source_[other] = source;
     ot.indirect_override = router;
@@ -374,71 +400,101 @@ std::optional<Engine::DirectProposal> Engine::evaluate_direct(
   // "previous IP2AS(h) != AS_N": the half's own mapping, ignoring any
   // indirect override it carries — an indirect inference must not
   // preclude the direct one (§4.4.2, DESIGN.md §5).
-  if (group_key(majority.asn) == group_key(base_[id])) return std::nullopt;
+  if (majority.key == base_group_[id]) return std::nullopt;
 
-  return DirectProposal{id, majority.asn,
+  return DirectProposal{id, majority.asn, majority.key,
                         static_cast<std::uint32_t>(majority.count),
                         static_cast<std::uint32_t>(neighbors.size())};
 }
 
-void Engine::commit_direct(const DirectProposal& proposal) {
-  mutate_mapping(proposal.id, [&](HalfState& s) {
-    s.direct = DirectInference{proposal.asn, base_[proposal.id], false,
-                               proposal.votes, proposal.neighbor_count};
-    has_direct_[proposal.id] = 1;
-    s.direct_override = proposal.asn;
+void Engine::make_direct(HalfId id, const DirectInference& inference) {
+  held_.insert(id);
+  mutate_mapping(id, [&](HalfState& s) {
+    direct_index_[id] = static_cast<std::uint32_t>(directs_.size());
+    directs_.push_back(inference);
+    has_direct_[id] = 1;
+    s.direct_override = inference.router_as;
   });
+  // Its support is what the next remove step checks.
+  remove_pending_.insert(id);
+}
+
+void Engine::commit_direct(const DirectProposal& proposal) {
+  make_direct(proposal.id,
+              DirectInference{proposal.asn, base_[proposal.id], proposal.key,
+                              base_group_[proposal.id], proposal.votes,
+                              proposal.neighbor_count, false});
   ++stats_.direct_made;
   apply_indirect(proposal.id);
 }
 
-bool Engine::try_direct_inference(HalfId id) {
-  const auto proposal = evaluate_direct(id, vote_scratch_[0]);
-  if (!proposal) return false;
-  commit_direct(*proposal);
-  return true;
+template <typename T, typename Decide>
+void Engine::decide_pass(bool full_sweep, HalfSet& pending,
+                         std::vector<std::vector<T>>& buffers, Decide decide) {
+  // A decision is a pure function of the frozen view and the half's own
+  // pre-pass state: no mutation of this pass changes another half's. So
+  // the pass decides first and its caller applies the decisions afterwards
+  // in ascending id order (worker ranges are ascending and each buffer is
+  // filled ascending): the sequential sweep's exact mutation sequence, so
+  // last-writer effects, dirty marks, and stats are all identical.
+  for (auto& buffer : buffers) buffer.clear();
+  if (full_sweep) {
+    pending.reset(halves_.size());
+    const auto sweep = [&](unsigned worker, std::size_t begin,
+                           std::size_t end) {
+      for (std::size_t id = begin; id < end; ++id) {
+        if (const auto decision =
+                decide(static_cast<HalfId>(id), vote_scratch_[worker])) {
+          buffers[worker].push_back(*decision);
+        }
+      }
+    };
+    const std::size_t limit = graph_.record_half_count();
+    if (pool_) {
+      pool_->for_ranges(limit, sweep);
+    } else {
+      sweep(0, 0, limit);
+    }
+    return;
+  }
+  // A half outside the set decides nothing. Every write that can change a
+  // half's decision queues it, so it would repeat its last one, which
+  // decided nothing or has been applied (after a commit or a demotion the
+  // half decides nothing); a half the remove step has not yet judged holds
+  // no direct inference, since every commit queues it. The set drains in
+  // ascending id order, the order a full sweep visits halves in.
+  pending.drain([&](HalfId id) {
+    if (const auto decision = decide(id, vote_scratch_[0])) {
+      buffers[0].push_back(*decision);
+    }
+  });
+#ifndef NDEBUG
+  // A full sweep must decide exactly this. Deciding writes only touched_,
+  // which this run's first add sweep, a full one, already set.
+  std::vector<T> full;
+  for (HalfId id = 0; id < graph_.record_half_count(); ++id) {
+    if (const auto decision = decide(id, vote_scratch_[0])) {
+      full.push_back(*decision);
+    }
+  }
+  if (full != buffers[0]) {
+    throw InvariantError("engine pending set missed a half a full sweep "
+                         "decides on");
+  }
+#endif
 }
 
 bool Engine::direct_pass(bool full_sweep) {
+  decide_pass(full_sweep, add_pending_, direct_buffers_,
+              [this](HalfId id, std::vector<VoteGroup>& scratch) {
+                return evaluate_direct(id, scratch);
+              });
   bool changed = false;
-  if (full_sweep) {
-    const std::size_t limit = graph_.record_half_count();
-    if (pool_) {
-      // Evaluation is a pure function of the frozen view and each half's
-      // own pre-pass state, so workers decide disjoint ascending id ranges
-      // concurrently. Mutations happen only in the commit loop below, in
-      // ascending id order (worker ranges are ascending and each buffer is
-      // filled ascending) — the sequential sweep's exact mutation sequence,
-      // so last-writer effects, dirty marks, and stats are all identical.
-      for (auto& buffer : direct_buffers_) buffer.clear();
-      pool_->for_ranges(limit, [this](unsigned worker, std::size_t begin,
-                                      std::size_t end) {
-        auto& scratch = vote_scratch_[worker];
-        auto& buffer = direct_buffers_[worker];
-        for (std::size_t id = begin; id < end; ++id) {
-          if (const auto proposal =
-                  evaluate_direct(static_cast<HalfId>(id), scratch)) {
-            buffer.push_back(*proposal);
-          }
-        }
-      });
-      for (const auto& buffer : direct_buffers_) {
-        for (const DirectProposal& proposal : buffer) {
-          commit_direct(proposal);
-          changed = true;
-        }
-      }
-    } else {
-      for (HalfId id = 0; id < static_cast<HalfId>(limit); ++id) {
-        changed |= try_direct_inference(id);
-      }
+  for (const auto& buffer : direct_buffers_) {
+    for (const DirectProposal& proposal : buffer) {
+      commit_direct(proposal);
+      changed = true;
     }
-  } else {
-    // Only halves whose neighbour mappings changed since their last
-    // evaluation can newly clear the majority test; everyone else would
-    // reproduce last pass's verdict (the count depends only on the frozen
-    // neighbour view).
-    for (HalfId id : work_) changed |= try_direct_inference(id);
   }
   return changed;
 }
@@ -448,20 +504,18 @@ bool Engine::resolve_dual_inferences() {
   // different ASes: a third-party artifact; the forward inference wins
   // (§4.4.3). Interfaces without a base IP2AS mapping are left alone.
   bool changed = false;
-  const std::size_t n = graph_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const HalfId fwd = static_cast<HalfId>(2 * i);
+  held_.for_each([&](HalfId fwd) {
+    if (fwd % 2 != 0 || !has_direct_[fwd]) return;
     const HalfId bwd = fwd + 1;
-    if (!has_direct_[fwd] || !has_direct_[bwd]) continue;
-    if (base_[fwd] == asdata::kUnknownAsn) continue;
-    if (group_key(halves_[fwd].direct.router_as) ==
-        group_key(halves_[bwd].direct.router_as)) {
-      continue;  // same AS both ways: load balancing/siblings; keep both
+    if (!has_direct_[bwd]) return;
+    if (base_[fwd] == asdata::kUnknownAsn) return;
+    if (direct(fwd).router_group == direct(bwd).router_group) {
+      return;  // same AS both ways: load balancing/siblings; keep both
     }
-    discard_direct(bwd, /*suppress=*/true);
+    discard_direct(bwd);
     ++stats_.duals_resolved;
     changed = true;
-  }
+  });
   return changed;
 }
 
@@ -477,22 +531,18 @@ bool Engine::resolve_inverse_inferences() {
   stats_.uncertain_pairs = 0;
 
   bool changed = false;
-  const std::size_t n = graph_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const HalfId fwd = static_cast<HalfId>(2 * i);
-    if (!has_direct_[fwd]) continue;
-    const auto fwd_router = halves_[fwd].direct.router_as;
-    const auto fwd_other = halves_[fwd].direct.other_as;
+  held_.for_each([&](HalfId fwd) {
+    if (fwd % 2 != 0 || !has_direct_[fwd]) return;
+    const DirectInference& fd = direct(fwd);
     // A forward half's neighbour span is exactly the backward halves of
     // its N_F members.
     for (HalfId nb : graph_.neighbor_ids(fwd)) {
       if (!has_direct_[nb]) continue;
-      const DirectInference& bd = halves_[nb].direct;
-      const bool mirrored =
-          group_key(bd.router_as) == group_key(fwd_other) &&
-          group_key(bd.other_as) == group_key(fwd_router);
-      if (!mirrored) continue;
-
+      const DirectInference& bd = direct(nb);
+      if (bd.router_group != fd.other_group ||
+          bd.other_group != fd.router_group) {
+        continue;  // not mirrored
+      }
       const HalfId nb_other = graph_.other_side_id(nb);
       const bool other_has_direct =
           nb_other != graph::kInvalidHalfId && has_direct_[nb_other];
@@ -504,16 +554,18 @@ bool Engine::resolve_inverse_inferences() {
         uncertain_list_.push_back(nb);
         ++stats_.uncertain_pairs;
       } else {
-        discard_direct(nb, /*suppress=*/true);
+        discard_direct(nb);
         ++stats_.inverses_resolved;
         changed = true;
       }
     }
-  }
+  });
   return changed;
 }
 
 void Engine::add_step() {
+  // Lifting a suppression can turn the half's verdict into a proposal.
+  for (HalfId id : suppressed_list_) add_pending_.insert(id);
   clear_flags(suppressed_list_, &HalfState::suppressed);
   const bool first_step = stats_.iterations == 0;
   bool first_pass = true;
@@ -521,10 +573,7 @@ void Engine::add_step() {
   while (changed) {
     ++stats_.add_passes;
     freeze_view();
-    // The first pass of every add step is a full sweep (suppressions were
-    // just lifted); later passes only revisit dirtied halves.
-    take_work(first_pass);
-    changed = direct_pass(first_pass);
+    changed = direct_pass(std::exchange(add_sweep_, false));
     if (first_step && first_pass) snapshot("Direct");
     if (options_.resolve_duals) changed |= resolve_dual_inferences();
     if (first_step && first_pass) snapshot("P2P");
@@ -556,12 +605,13 @@ void Engine::demote_direct(HalfId id) {
     }
     st.direct_override.reset();
   });
+  add_pending_.insert(id);  // it may earn a direct inference again
   ++stats_.demoted_in_remove_step;
 }
 
 bool Engine::lost_support(HalfId id, std::vector<VoteGroup>& scratch) const {
   if (!has_direct_[id]) return false;
-  const DirectInference& inference = halves_[id].direct;
+  const DirectInference& inference = direct(id);
   const auto neighbors = graph_.neighbor_ids(id);
 
   bool supported = false;
@@ -570,70 +620,46 @@ bool Engine::lost_support(HalfId id, std::vector<VoteGroup>& scratch) const {
     // present during a remove step, judge it by its single neighbour.
     supported = !neighbors.empty();
   } else if (options_.remove_rule == RemoveRule::kMajority) {
-    supported = 2 * group_count(id, inference.router_as) > neighbors.size();
+    supported = 2 * group_count(id, inference.router_group) > neighbors.size();
   } else {
     const MajorityResult majority = count_majority(id, scratch);
-    supported = majority.strict &&
-                group_key(majority.asn) == group_key(inference.router_as) &&
+    supported = majority.strict && majority.key == inference.router_group &&
                 meets_fraction(majority.count, neighbors.size(), options_.f);
   }
   return !supported;
 }
 
+void Engine::demote_pass(bool full_sweep) {
+  // Demotion order matters: demote_direct's liveness check reads the
+  // indirect source's (possibly just-demoted) state.
+  decide_pass(full_sweep, remove_pending_, demote_buffers_,
+              [this](HalfId id, std::vector<VoteGroup>& scratch)
+                  -> std::optional<HalfId> {
+                if (lost_support(id, scratch)) return id;
+                return std::nullopt;
+              });
+  for (const auto& buffer : demote_buffers_) {
+    for (HalfId id : buffer) demote_direct(id);
+  }
+}
+
 void Engine::remove_step() {
   bool discarded = true;
-  bool first_pass = true;
   while (discarded) {
     discarded = false;
     freeze_view();
-    take_work(first_pass);
-
     // Pass 1: demote unsupported direct inferences to indirect, retaining
-    // their mapping update. After the first (full) sweep, only halves
-    // whose neighbour mappings changed can lose support. The support test
-    // reads only the frozen view and the half's own state, so the full
-    // sweep evaluates on all workers and demotes sequentially in ascending
-    // id order — demotion order matters because demote_direct's liveness
-    // check reads the indirect source's (possibly just-demoted) state.
-    if (first_pass) {
-      const std::size_t limit = graph_.record_half_count();
-      if (pool_) {
-        for (auto& buffer : demote_buffers_) buffer.clear();
-        pool_->for_ranges(limit, [this](unsigned worker, std::size_t begin,
-                                        std::size_t end) {
-          auto& scratch = vote_scratch_[worker];
-          auto& buffer = demote_buffers_[worker];
-          for (std::size_t id = begin; id < end; ++id) {
-            if (lost_support(static_cast<HalfId>(id), scratch)) {
-              buffer.push_back(static_cast<HalfId>(id));
-            }
-          }
-        });
-        for (const auto& buffer : demote_buffers_) {
-          for (HalfId id : buffer) demote_direct(id);
-        }
-      } else {
-        for (HalfId id = 0; id < static_cast<HalfId>(limit); ++id) {
-          if (lost_support(id, vote_scratch_[0])) demote_direct(id);
-        }
-      }
-    } else {
-      for (HalfId id : work_) {
-        if (lost_support(id, vote_scratch_[0])) demote_direct(id);
-      }
-    }
-    first_pass = false;
-
+    // their mapping update.
+    demote_pass(std::exchange(remove_sweep_, false));
     // Pass 2: discard indirect inferences whose associated direct
     // inference is gone, along with their IP2AS updates.
-    const std::size_t halves = halves_.size();
-    for (std::size_t id = 0; id < halves; ++id) {
+    held_.for_each([&](HalfId id) {
       const HalfId source = indirect_source_[id];
-      if (source == graph::kInvalidHalfId || has_direct_[source]) continue;
-      discard_indirect(static_cast<HalfId>(id));
+      if (source == graph::kInvalidHalfId || has_direct_[source]) return;
+      discard_indirect(id);
       ++stats_.removed_in_remove_step;
       discarded = true;
-    }
+    });
   }
 }
 
@@ -664,16 +690,14 @@ void Engine::stub_step() {
     const asdata::Asn as_h = view_[h_f];
     const asdata::Asn as_n = view_[n_b];
     if (as_h == asdata::kUnknownAsn || as_n == asdata::kUnknownAsn) continue;
-    if (group_key(as_h) == group_key(as_n)) continue;
+    if (view_group_[h_f] == view_group_[n_b]) continue;
     if (!rels_.is_stub(as_n)) continue;  // providers are never stubs, which
                                          // also defuses third-party replies
     touched_[h_f] = 1;
-    mutate_mapping(h_f, [&](HalfState& st) {
-      st.direct = DirectInference{as_n, as_h, /*from_stub_heuristic=*/true,
-                                  /*votes=*/1, /*neighbor_count=*/1};
-      has_direct_[h_f] = 1;
-      st.direct_override = as_n;
-    });
+    make_direct(h_f, DirectInference{as_n, as_h, view_group_[n_b],
+                                     view_group_[h_f], /*votes=*/1,
+                                     /*neighbor_count=*/1,
+                                     /*from_stub_heuristic=*/true});
     ++stats_.stub_inferences;
     apply_indirect(h_f);  // "Mark an indirect inference for h'_b"
   }
@@ -685,34 +709,34 @@ void Engine::stub_step() {
 
 std::vector<Inference> Engine::collect(bool confident) const {
   std::vector<Inference> out;
-  const auto visit = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t id = begin; id < end; ++id) {
-      const auto half = static_cast<HalfId>(id);
-      if (has_direct_[id]) {
-        const HalfState& st = halves_[id];
-        if (st.uncertain == confident) continue;
-        out.push_back(Inference{
-            graph_.half_at(half), st.direct.router_as, st.direct.other_as,
-            st.direct.from_stub_heuristic ? InferenceKind::kStub
-                                          : InferenceKind::kDirect,
-            st.uncertain, st.direct.votes, st.direct.neighbor_count});
-        continue;
-      }
-      const HalfId source_id = indirect_source_[id];
-      if (source_id == graph::kInvalidHalfId || !confident) continue;
-      if (!has_direct_[source_id] || halves_[source_id].uncertain) continue;
-      // The other side of a link shares its AS pair with the direct
-      // inference, with the roles mirrored (§4.4.2).
-      const DirectInference& source = halves_[source_id].direct;
-      out.push_back(Inference{graph_.half_at(half), source.other_as,
-                              source.router_as, InferenceKind::kIndirect,
-                              false, source.votes, source.neighbor_count});
+  const auto visit = [&](HalfId id) {
+    if (has_direct_[id]) {
+      const HalfState& st = halves_[id];
+      if (st.uncertain == confident) return;
+      const DirectInference& inference = direct(id);
+      out.push_back(Inference{
+          graph_.half_at(id), inference.router_as, inference.other_as,
+          inference.from_stub_heuristic ? InferenceKind::kStub
+                                        : InferenceKind::kDirect,
+          st.uncertain, inference.votes, inference.neighbor_count});
+      return;
     }
+    const HalfId source_id = indirect_source_[id];
+    if (source_id == graph::kInvalidHalfId || !confident) return;
+    if (!has_direct_[source_id] || halves_[source_id].uncertain) return;
+    // The other side of a link shares its AS pair with the direct
+    // inference, with the roles mirrored (§4.4.2).
+    const DirectInference& source = direct(source_id);
+    out.push_back(Inference{graph_.half_at(id), source.other_as,
+                            source.router_as, InferenceKind::kIndirect, false,
+                            source.votes, source.neighbor_count});
   };
   const std::size_t records = graph_.record_half_count();
-  visit(0, records);
-  const std::size_t record_entries = out.size();
-  visit(records, halves_.size());
+  std::size_t record_entries = 0;
+  held_.for_each([&](HalfId id) {
+    visit(id);
+    if (id < records) record_entries = out.size();
+  });
   merge_runs(out, record_entries, [](const Inference& i) { return i.half; });
   return out;
 }
@@ -720,22 +744,17 @@ std::vector<Inference> Engine::collect(bool confident) const {
 std::vector<std::pair<graph::InterfaceHalf, asdata::Asn>>
 Engine::final_mappings() const {
   std::vector<std::pair<graph::InterfaceHalf, asdata::Asn>> out;
-  const auto visit = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t id = begin; id < end; ++id) {
-      // The override slots are set exactly while the slabs say so.
-      if (has_direct_[id]) {
-        out.emplace_back(graph_.half_at(static_cast<HalfId>(id)),
-                         *halves_[id].direct_override);
-      } else if (indirect_source_[id] != graph::kInvalidHalfId) {
-        out.emplace_back(graph_.half_at(static_cast<HalfId>(id)),
-                         *halves_[id].indirect_override);
-      }
-    }
-  };
   const std::size_t records = graph_.record_half_count();
-  visit(0, records);
-  const std::size_t record_entries = out.size();
-  visit(records, halves_.size());
+  std::size_t record_entries = 0;
+  held_.for_each([&](HalfId id) {
+    // The override slots are set exactly while the slabs say so.
+    if (has_direct_[id]) {
+      out.emplace_back(graph_.half_at(id), *halves_[id].direct_override);
+    } else if (indirect_source_[id] != graph::kInvalidHalfId) {
+      out.emplace_back(graph_.half_at(id), *halves_[id].indirect_override);
+    }
+    if (id < records) record_entries = out.size();
+  });
   merge_runs(out, record_entries, [](const auto& entry) { return entry.first; });
   return out;
 }
@@ -747,33 +766,53 @@ std::string Engine::state_signature() const {
   // Dense id order makes the encoding canonical. Every touched half is
   // covered, even when its state is currently empty — a half that gained
   // and then lost an inference distinguishes this iteration from one where
-  // it was never considered.
-  std::string sig;
-  auto push32 = [&sig](std::uint32_t value) {
-    sig.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  // it was never considered. A half that never held an inference has empty
+  // state (an uncertain flag goes only with a direct inference).
+  //
+  // Written into one buffer of the exact size: 5 bytes per touched half
+  // (id, mask); 12 more while it holds a direct inference (AS_N, the
+  // previous AS, the direct override) and 8 while it carries an indirect
+  // one (the source, the indirect override). The override slots are set
+  // exactly while the slabs say so.
+  std::size_t size = 0;
+  for (const std::uint8_t flag : touched_) size += 5u * flag;
+  held_.for_each([&](HalfId id) {
+    if (!touched_[id]) return;
+    if (has_direct_[id]) size += 12;
+    if (indirect_source_[id] != graph::kInvalidHalfId) size += 8;
+  });
+  std::string sig(size, '\0');
+  char* out = sig.data();
+  const auto put32 = [&out](std::uint32_t value) {
+    std::memcpy(out, &value, sizeof(value));
+    out += sizeof(value);
   };
   const std::size_t halves = halves_.size();
   for (std::size_t id = 0; id < halves; ++id) {
     if (!touched_[id]) continue;
-    const HalfState& st = halves_[id];
-    const bool direct = has_direct_[id] != 0;
-    const HalfId source = indirect_source_[id];
-    std::uint8_t mask = 0;
-    if (direct) mask |= 0x01;
-    if (direct && st.direct.from_stub_heuristic) mask |= 0x02;
-    if (source != graph::kInvalidHalfId) mask |= 0x04;
-    if (st.direct_override) mask |= 0x08;
-    if (st.indirect_override) mask |= 0x10;
-    if (st.uncertain) mask |= 0x20;
-    push32(static_cast<std::uint32_t>(id));
-    sig.push_back(static_cast<char>(mask));
-    if (direct) {
-      push32(st.direct.router_as);
-      push32(st.direct.other_as);
+    put32(static_cast<std::uint32_t>(id));
+    if (!held_.contains(static_cast<HalfId>(id))) {
+      *out++ = 0;
+      continue;
     }
-    if (source != graph::kInvalidHalfId) push32(source);
-    if (st.direct_override) push32(*st.direct_override);
-    if (st.indirect_override) push32(*st.indirect_override);
+    const HalfState& st = halves_[id];
+    const auto half = static_cast<HalfId>(id);
+    const bool holds_direct = has_direct_[id] != 0;
+    const HalfId source = indirect_source_[id];
+    const bool indirect = source != graph::kInvalidHalfId;
+    std::uint8_t mask = 0;
+    if (holds_direct) mask |= 0x01 | 0x08;  // the inference and its override
+    if (holds_direct && direct(half).from_stub_heuristic) mask |= 0x02;
+    if (indirect) mask |= 0x04 | 0x10;
+    if (st.uncertain) mask |= 0x20;
+    *out++ = static_cast<char>(mask);
+    if (holds_direct) {
+      put32(direct(half).router_as);
+      put32(direct(half).other_as);
+    }
+    if (indirect) put32(source);
+    if (holds_direct) put32(direct(half).router_as);  // the direct override
+    if (indirect) put32(*st.indirect_override);
   }
   return sig;
 }
@@ -788,30 +827,32 @@ void Engine::count_divergent_other_sides() {
   // pairs (§4.4.3). Counted once per link, keyed by the lower address.
   stats_.divergent_other_sides = 0;
   const auto& records = graph_.interfaces();
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const HalfId fwd = static_cast<HalfId>(2 * i);
-    const net::Ipv4Address other = records[i].other_side.address;
-    if (!(records[i].address < other)) continue;
-    if (base_[fwd] == asdata::kUnknownAsn) continue;
-
-    auto pair_of = [&](HalfId first)
-        -> std::optional<std::pair<std::uint64_t, std::uint64_t>> {
-      for (HalfId id : {first, static_cast<HalfId>(first + 1)}) {
-        if (has_direct_[id]) {
-          const DirectInference& direct = halves_[id].direct;
-          std::uint64_t a = group_key(direct.router_as);
-          std::uint64_t b = group_key(direct.other_as);
-          if (b < a) std::swap(a, b);
-          return std::make_pair(a, b);
-        }
+  auto pair_of = [&](HalfId first)
+      -> std::optional<std::pair<std::uint64_t, std::uint64_t>> {
+    for (HalfId id : {first, static_cast<HalfId>(first + 1)}) {
+      if (has_direct_[id]) {
+        std::uint64_t a = direct(id).router_group;
+        std::uint64_t b = direct(id).other_group;
+        if (b < a) std::swap(a, b);
+        return std::make_pair(a, b);
       }
-      return std::nullopt;
-    };
+    }
+    return std::nullopt;
+  };
+  held_.for_each([&](HalfId id) {
+    // An interface without a direct inference has no pair to compare;
+    // visit each other one once, at its first half that holds one.
+    if (!has_direct_[id] || (id % 2 != 0 && has_direct_[id - 1])) return;
+    const HalfId fwd = id & ~1u;
+    const std::size_t i = fwd / 2;
+    const net::Ipv4Address other = records[i].other_side.address;
+    if (!(records[i].address < other)) return;
+    if (base_[fwd] == asdata::kUnknownAsn) return;
     const HalfId other_fwd = graph_.other_side_id(fwd) & ~1u;
     const auto mine = pair_of(fwd);
     const auto theirs = pair_of(other_fwd);
     if (mine && theirs && *mine != *theirs) ++stats_.divergent_other_sides;
-  }
+  });
 }
 
 Result Engine::run() {
@@ -831,8 +872,8 @@ RunOutcome Engine::run_controlled(const RunControl& control) {
     restore_state(*control.resume_state);
     // A kAfterAddStep checkpoint already ran this iteration's add step; the
     // resumed run re-enters the loop at its remove step. Either way the
-    // next step opens with a full sweep, so the (unsaved) dirty set being
-    // empty cannot change anything.
+    // next add and remove steps open with full sweeps, so the (unsaved)
+    // pending sets being empty cannot change anything.
     skip_first_add = control.resume_boundary == RunBoundary::kAfterAddStep;
   }
 
@@ -936,8 +977,12 @@ std::string Engine::save_state() const {
   auto entry_mask = [this](std::size_t id) {
     const HalfState& st = halves_[id];
     std::uint8_t mask = 0;
-    if (has_direct_[id]) mask |= kMaskDirect;
-    if (has_direct_[id] && st.direct.from_stub_heuristic) mask |= kMaskStub;
+    if (has_direct_[id]) {
+      mask |= kMaskDirect;
+      if (direct(static_cast<HalfId>(id)).from_stub_heuristic) {
+        mask |= kMaskStub;
+      }
+    }
     if (indirect_source_[id] != graph::kInvalidHalfId) {
       mask |= kMaskIndirectSource;
     }
@@ -959,10 +1004,11 @@ std::string Engine::save_state() const {
     wire::append_u32(blob, static_cast<std::uint32_t>(id));
     blob.push_back(static_cast<char>(mask));
     if (mask & kMaskDirect) {
-      wire::append_u32(blob, st.direct.router_as);
-      wire::append_u32(blob, st.direct.other_as);
-      wire::append_u32(blob, st.direct.votes);
-      wire::append_u32(blob, st.direct.neighbor_count);
+      const DirectInference& inference = direct(static_cast<HalfId>(id));
+      wire::append_u32(blob, inference.router_as);
+      wire::append_u32(blob, inference.other_as);
+      wire::append_u32(blob, inference.votes);
+      wire::append_u32(blob, inference.neighbor_count);
     }
     if (mask & kMaskIndirectSource) {
       wire::append_u32(blob, indirect_source_[id]);
@@ -1022,20 +1068,33 @@ void Engine::restore_state(const std::string& blob) {
     previous_id = id;
     const std::uint8_t mask = cursor.read_u8();
     // A saved state sets each override exactly with its inference (the
-    // engine's slabs rely on it), and the stub flag only on a direct one.
+    // engine's slabs rely on it), and the stub and uncertain flags only on
+    // a direct one.
     const auto has = [mask](std::uint8_t bit) { return (mask & bit) != 0; };
     if ((has(kMaskStub) && !has(kMaskDirect)) ||
+        (has(kMaskUncertain) && !has(kMaskDirect)) ||
         has(kMaskDirect) != has(kMaskDirectOverride) ||
         has(kMaskIndirectSource) != has(kMaskIndirectOverride)) {
       throw CheckpointError("engine state entry flags inconsistent");
     }
-    HalfState st;
     if (has(kMaskDirect)) {
-      st.direct.router_as = cursor.read_u32();
-      st.direct.other_as = cursor.read_u32();
-      st.direct.from_stub_heuristic = has(kMaskStub);
-      st.direct.votes = cursor.read_u32();
-      st.direct.neighbor_count = cursor.read_u32();
+      // Only a record half has the neighbours a direct inference needs;
+      // the scans for inferences rely on it.
+      if (id >= graph_.record_half_count()) {
+        throw CheckpointError("engine state direct inference on a phantom");
+      }
+      // The group keys are not in the blob: they are the two ASes' keys,
+      // as at commit.
+      DirectInference inference;
+      inference.router_as = cursor.read_u32();
+      inference.other_as = cursor.read_u32();
+      inference.router_group = group_key(inference.router_as);
+      inference.other_group = group_key(inference.other_as);
+      inference.from_stub_heuristic = has(kMaskStub);
+      inference.votes = cursor.read_u32();
+      inference.neighbor_count = cursor.read_u32();
+      direct_index_[id] = static_cast<std::uint32_t>(directs_.size());
+      directs_.push_back(inference);
     }
     HalfId source = graph::kInvalidHalfId;
     if (has(kMaskIndirectSource)) {
@@ -1044,13 +1103,20 @@ void Engine::restore_state(const std::string& blob) {
         throw CheckpointError("engine state indirect source out of range");
       }
     }
-    if (has(kMaskDirectOverride)) st.direct_override = cursor.read_u32();
+    HalfState st;
+    if (has(kMaskDirectOverride)) {
+      st.direct_override = cursor.read_u32();
+      if (*st.direct_override != direct(id).router_as) {
+        throw CheckpointError("engine state direct override is not AS_N");
+      }
+    }
     if (has(kMaskIndirectOverride)) st.indirect_override = cursor.read_u32();
     st.uncertain = has(kMaskUncertain);
     st.suppressed = has(kMaskSuppressed);
     halves_[id] = st;
     has_direct_[id] = has(kMaskDirect) ? 1 : 0;
     indirect_source_[id] = source;
+    if (has(kMaskDirect) || has(kMaskIndirectSource)) held_.insert(id);
     if (st.uncertain) uncertain_list_.push_back(id);
     if (st.suppressed) suppressed_list_.push_back(id);
     touched_[id] = has(kMaskTouched) ? 1 : 0;
@@ -1081,6 +1147,10 @@ void Engine::restore_state(const std::string& blob) {
   for (std::size_t id = 0; id < halves; ++id) {
     std::tie(view_[id], view_group_[id]) = view_entry(static_cast<HalfId>(id));
   }
+  // Nor do the pending sets: the next add and remove steps sweep every
+  // half instead.
+  add_sweep_ = true;
+  remove_sweep_ = true;
 }
 
 const Inference* Result::find(const graph::InterfaceHalf& half) const {

@@ -20,17 +20,21 @@
 // State layout: every interface half carries a dense graph::HalfId
 // (interface index * 2 + direction); all engine state lives in flat slabs
 // indexed by that id, so the hot loops are plain vector reads with no
-// hashing. Passes after the first of each add/remove step recount only the
-// halves whose neighbour mappings changed (dirty-set propagation through
-// the graph's reverse adjacency); the first pass of every step is a full
-// sweep, which keeps inference output identical to a full-recount engine.
-// Freezing the view is change-driven too: it re-transcribes only the halves
-// whose effective mapping changed since the last freeze. The scans that run
-// on every add pass (dual and inverse resolution) and in every remove pass
-// (the indirect discard) read two compact slabs — whether a half holds a
-// direct inference, and the source of its indirect one — not the per-half
-// records, and flag resets walk the halves whose flag was set.
-// See DESIGN.md "Dense engine state" for the invariants.
+// hashing. A half's add or remove verdict is a pure function of its own
+// state and its neighbours' frozen mappings, so every write that can change
+// a verdict queues the half in a pending set, one for add evaluation and
+// one for remove evaluation; a step's passes evaluate only their set, in
+// ascending id order, which keeps inference output identical to a
+// full-recount engine. Only a fresh run's first add step and the two step
+// openings after a resume sweep every half. Freezing the view is
+// change-driven too: it re-transcribes only the halves whose effective
+// mapping changed since the last freeze. The scans that look for
+// inferences (dual and inverse resolution, the remove step's indirect
+// discard, the output lists) walk a bitset of the halves that have held one
+// this run and read two compact slabs — whether a half holds a direct
+// inference, and the source of its indirect one — and a direct inference
+// carries the sibling group keys of its two ASes, so none of them looks up
+// an organization. See DESIGN.md "Dense engine state" for the invariants.
 //
 // Residency: an Engine may run many times over a graph that grows between
 // runs (InterfaceGraph::fold, as `mapit ingest` does per publish). Each run
@@ -39,12 +43,11 @@
 // IP2AS mappings of the addresses already seen carry over, the latter keyed
 // by address because a fold shifts HalfIds.
 //
-// Threading: the full-sweep first pass of each add/remove step evaluates
-// candidates over disjoint HalfId ranges on Options::threads workers —
-// counting reads only the frozen view (§4.4.5), so evaluation is pure —
-// and commits the collected proposals sequentially in ascending id order.
-// Output is byte-identical for every thread count; see DESIGN.md
-// "Parallel sweeps".
+// Threading: a full sweep evaluates candidates over disjoint HalfId ranges
+// on Options::threads workers — counting reads only the frozen view
+// (§4.4.5), so evaluation is pure — and commits the collected proposals
+// sequentially in ascending id order. Output is byte-identical for every
+// thread count; see DESIGN.md "Parallel sweeps".
 #pragma once
 
 #include <cstdint>
@@ -127,8 +130,9 @@ struct EngineStats {
 
 /// The places inside Engine::run_controlled where execution may pause: the
 /// engine's state at these points fully determines the remainder of the run
-/// (the next step always opens with a full sweep, so the pending dirty set
-/// is immaterial), which is what makes checkpoint/resume byte-identical.
+/// (a resumed run opens its next add and remove steps with full sweeps, so
+/// the pending sets, which are not saved, are immaterial), which is what
+/// makes checkpoint/resume byte-identical.
 enum class RunBoundary : std::uint8_t {
   kAfterAddStep = 0,    ///< add step finished; the remove step runs next
   kAfterIteration = 1,  ///< remove step finished, state not yet repeated
@@ -214,20 +218,24 @@ class Engine {
  private:
   using HalfId = graph::HalfId;
 
+  /// A direct inference, with the sibling group keys of its two ASes taken
+  /// when it is made, so the scans that compare inferences never look up an
+  /// organization.
   struct DirectInference {
     asdata::Asn router_as = asdata::kUnknownAsn;  // AS_N
     asdata::Asn other_as = asdata::kUnknownAsn;   // previous IP2AS(h)
-    bool from_stub_heuristic = false;
+    std::uint64_t router_group = 0;    // group_key(router_as)
+    std::uint64_t other_group = 0;     // group_key(other_as)
     std::uint32_t votes = 0;           // neighbours voting for AS_N
     std::uint32_t neighbor_count = 0;  // |N| at inference time
+    bool from_stub_heuristic = false;
   };
 
   /// Per-half state, one slab entry per graph::HalfId. Whether the half
-  /// holds a direct inference and the source of its indirect inference
-  /// live in their own slabs (has_direct_, indirect_source_).
+  /// holds a direct inference, the inference itself and the source of its
+  /// indirect inference live apart (has_direct_, direct(),
+  /// indirect_source_).
   struct HalfState {
-    /// Meaningful only while has_direct_ is set for the half.
-    DirectInference direct;
     /// Set exactly while the half holds a direct inference (to its AS_N).
     std::optional<asdata::Asn> direct_override;
     /// Set exactly while the half carries an indirect inference.
@@ -237,6 +245,30 @@ class Engine {
     /// until the next add step (§4.4.5 single-inference-per-step rule).
     bool suppressed = false;
   };
+
+  /// A set of halves, one bit per HalfId, walked in ascending id order.
+  struct HalfSet {
+    std::vector<std::uint64_t> words;
+
+    void reset(std::size_t halves) { words.assign((halves + 63) / 64, 0); }
+    void insert(HalfId id) { words[id / 64] |= std::uint64_t{1} << (id % 64); }
+    [[nodiscard]] bool contains(HalfId id) const {
+      return ((words[id / 64] >> (id % 64)) & 1) != 0;
+    }
+    /// Calls fn(id) for every member, ascending. Each word is read before
+    /// its members are visited, so fn may insert (a member it adds to a
+    /// word already read is not visited).
+    template <typename Fn>
+    void for_each(Fn&& fn) const;
+    /// for_each, emptying the set as it goes.
+    template <typename Fn>
+    void drain(Fn&& fn);
+  };
+
+  /// The direct inference `id` holds; only while has_direct_[id] is set.
+  [[nodiscard]] const DirectInference& direct(HalfId id) const {
+    return directs_[direct_index_[id]];
+  }
 
   // --- mapping views -------------------------------------------------
   /// The effective mapping of a half right now (overrides, then base).
@@ -248,13 +280,14 @@ class Engine {
   /// Brings view_ / view_group_ up to the current state (the per-pass
   /// mapping freeze of §4.4.5) by re-transcribing only the stale halves.
   /// Debug builds then check the result against a full transcription, and
-  /// the has_direct_ / indirect_source_ slabs against the halves' override
-  /// slots (InvariantError on a mismatch).
+  /// the slabs against the halves' override slots, the held_ bits and the
+  /// cached group keys (InvariantError on a mismatch).
   void freeze_view();
 
   // --- counting ------------------------------------------------------
   struct MajorityResult {
     asdata::Asn asn = asdata::kUnknownAsn;  // representative of the group
+    std::uint64_t key = 0;                  // the group's sibling key
     std::size_t count = 0;                  // group's vote count
     bool strict = false;                    // strictly more than every other
   };
@@ -269,35 +302,36 @@ class Engine {
   };
   [[nodiscard]] MajorityResult count_majority(
       HalfId id, std::vector<VoteGroup>& scratch) const;
-  [[nodiscard]] std::size_t group_count(HalfId id, asdata::Asn target) const;
+  /// Neighbours of `id` whose frozen mapping is in sibling group `key`.
+  [[nodiscard]] std::size_t group_count(HalfId id, std::uint64_t key) const;
   [[nodiscard]] std::uint64_t group_key(asdata::Asn asn) const;
 
-  // --- dirty-set propagation ------------------------------------------
-  /// Enqueues every half whose majority depends on `id` for recount on the
-  /// next pass (reverse adjacency walk). Called whenever a half's effective
-  /// mapping changes.
+  // --- pending sets ----------------------------------------------------
+  /// Queues every half whose majority depends on `id` (reverse adjacency
+  /// walk): for add evaluation if it holds no direct inference, for remove
+  /// evaluation if it does. Called whenever a half's effective mapping
+  /// changes.
   void mark_dependents_dirty(HalfId id);
   /// Wraps a state mutation: records the effective mapping before, runs the
   /// mutation, and if the mapping changed marks dependents dirty and lists
   /// the half as stale for the next freeze_view.
   template <typename Fn>
   void mutate_mapping(HalfId id, Fn&& fn);
-  /// Drains the pending dirty set and clears its flags. An incremental
-  /// pass gets it in work_, sorted ascending so the visit order matches a
-  /// full sweep's; a full sweep visits every half and leaves work_ empty.
-  void take_work(bool full_sweep);
 
   // --- algorithm steps -------------------------------------------------
   /// A direct inference the add-step evaluation decided to make. Evaluation
   /// (pure: frozen view + the half's own pre-pass state) is separated from
-  /// the commit (mutating) so full sweeps can evaluate on many workers and
-  /// commit in ascending id order — the sequential sweep's exact mutation
-  /// sequence.
+  /// the commit (mutating), so a pass evaluates all of its halves — on many
+  /// workers in a full sweep — and then commits in ascending id order.
   struct DirectProposal {
     HalfId id = graph::kInvalidHalfId;
     asdata::Asn asn = asdata::kUnknownAsn;  // the dominating AS_N
+    std::uint64_t key = 0;                  // its sibling group key
     std::uint32_t votes = 0;
     std::uint32_t neighbor_count = 0;
+
+    friend bool operator==(const DirectProposal&,
+                           const DirectProposal&) = default;
   };
   /// Decides whether `id` earns a direct inference against the frozen view.
   /// Reads only shared immutable state plus `id`'s own state; writes only
@@ -308,12 +342,25 @@ class Engine {
   /// overrides, propagates the indirect inference (§4.4.2), marks
   /// dependents dirty, and bumps the stats.
   void commit_direct(const DirectProposal& proposal);
+  /// Gives `id` the direct inference `inference` (commit and stub step).
+  void make_direct(HalfId id, const DirectInference& inference);
   /// True when the remove step must demote `id`'s direct inference (§4.5).
   /// Pure: frozen view + `id`'s own state only.
   [[nodiscard]] bool lost_support(HalfId id,
                                   std::vector<VoteGroup>& scratch) const;
+  /// Fills `buffers` with decide(id, scratch)'s decisions for one pass:
+  /// over every record half on all workers (a full sweep, which empties
+  /// `pending`), or over `pending` on the caller. Debug builds check a
+  /// set-driven pass against a full sweep (InvariantError on a mismatch).
+  template <typename T, typename Decide>
+  void decide_pass(bool full_sweep, HalfSet& pending,
+                   std::vector<std::vector<T>>& buffers, Decide decide);
+  /// One add pass's direct inferences, decided over every record half or
+  /// the add set. Returns whether it made any.
   bool direct_pass(bool full_sweep);
-  bool try_direct_inference(HalfId id);
+  /// One remove pass's demotions, decided over every record half or the
+  /// remove set.
+  void demote_pass(bool full_sweep);
   void apply_indirect(HalfId source);
   bool resolve_dual_inferences();
   void count_divergent_other_sides();
@@ -322,7 +369,9 @@ class Engine {
   void remove_step();
   void demote_direct(HalfId id);
   void stub_step();
-  void discard_direct(HalfId id, bool suppress);
+  /// Drops `id`'s direct inference (dual or inverse resolution) and
+  /// suppresses it until the next add step (§4.4.5).
+  void discard_direct(HalfId id);
   void discard_indirect(HalfId id);
 
   // --- bookkeeping -----------------------------------------------------
@@ -330,12 +379,14 @@ class Engine {
   /// these byte-for-byte; see core/convergence.h).
   [[nodiscard]] std::string state_signature() const;
   /// Inverse of save_state(). Overwrites the per-half state, its slabs
-  /// and flag lists, touched_, stats_ and tracker_, and re-transcribes the
-  /// whole frozen view from the restored state;
+  /// and flag lists, touched_, stats_ and tracker_, re-transcribes the
+  /// whole frozen view from the restored state, and has the next add and
+  /// remove steps open with full sweeps;
   /// throws CheckpointError on any malformed or mismatched blob (wrong
   /// version, half count differing from this graph, out-of-range ids,
-  /// inconsistent entry flags, truncation, trailing bytes). reset_state()
-  /// must have run first.
+  /// inconsistent entry flags or overrides, a direct inference on a
+  /// phantom half, truncation, trailing bytes). reset_state() must have
+  /// run first.
   void restore_state(const std::string& blob);
   /// The run's inferences in (address, direction) order.
   [[nodiscard]] std::vector<Inference> collect(bool confident) const;
@@ -361,20 +412,30 @@ class Engine {
 
   // Flat slabs indexed by graph::HalfId.
   std::vector<HalfState> halves_;
-  /// 1 while the half holds a direct inference (HalfState::direct is then
-  /// valid): what dual and inverse resolution and the remove step's scans
-  /// read, one byte per half.
+  /// 1 while the half holds a direct inference (direct() is then valid):
+  /// what the scans and the remove step read, one byte per half.
   std::vector<std::uint8_t> has_direct_;
+  /// Every direct inference made this run, in the order made: a half's is
+  /// directs_[direct_index_[id]], meaningful only while has_direct_ is set.
+  /// Sized by the inferences made, not by the halves.
+  std::vector<DirectInference> directs_;
+  std::vector<std::uint32_t> direct_index_;
   /// The half whose direct inference propagated this half's indirect one
   /// (§4.4.2; lifetime coupling), or kInvalidHalfId when it carries none.
   std::vector<HalfId> indirect_source_;
+  /// Halves that gained a direct or indirect inference at some point this
+  /// run (never removed within a run): what the scans for inferences walk.
+  /// The slabs above stay the one record of whether a half holds one now.
+  HalfSet held_;
   /// Halves whose HalfState::suppressed / uncertain flag was set since the
   /// flags were last cleared (an id may repeat): the resets walk these
   /// instead of every half.
   std::vector<HalfId> suppressed_list_;
   std::vector<HalfId> uncertain_list_;
-  std::vector<asdata::Asn> base_;          ///< base IP2AS, filled per run
-  std::vector<std::uint64_t> base_group_;  ///< sibling group key of base_
+  /// Base IP2AS, filled per run, and its sibling group key (also for an
+  /// unannounced address: group_key(kUnknownAsn)).
+  std::vector<asdata::Asn> base_;
+  std::vector<std::uint64_t> base_group_;
   std::vector<asdata::Asn> view_;          ///< frozen effective mapping
   std::vector<std::uint64_t> view_group_;  ///< sibling group key of view_
   /// Halves whose effective mapping changed since the last freeze_view
@@ -386,15 +447,22 @@ class Engine {
   /// repetition check is sensitive to the same states a lazily-populated
   /// map would be.
   std::vector<std::uint8_t> touched_;
-  std::vector<std::uint8_t> dirty_flag_;   ///< membership bit for dirty_
-  std::vector<HalfId> dirty_;              ///< pending recount candidates
-  std::vector<HalfId> work_;               ///< current pass's work list
+  /// Halves whose add (remove) verdict may differ from their last
+  /// evaluation's; the next set-driven add (remove) pass evaluates exactly
+  /// these.
+  HalfSet add_pending_;
+  HalfSet remove_pending_;
+  /// Whether the next add (remove) step opens with a full sweep instead of
+  /// its set: a fresh run's first add step, which also sets touched_, and
+  /// both openings after restore_state (the sets are not in the blob).
+  bool add_sweep_ = true;
+  bool remove_sweep_ = false;
 
   /// One address's base mapping, as resolve_base caches it.
   struct BaseEntry {
     net::Ipv4Address address;
     asdata::Asn asn = asdata::kUnknownAsn;
-    std::uint64_t group = 0;  ///< sibling group key; 0 when unannounced
+    std::uint64_t group = 0;  ///< sibling group key
   };
   /// Base mapping of every address the last run resolved, ascending by
   /// address. Keyed by address, the one key a fold does not shift; valid

@@ -8,8 +8,11 @@
 // process-level kill/resume chain through the real CLI is in tools/ci.sh.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -265,6 +268,108 @@ TEST_F(CheckpointResumeGuardTest, RestoreRejectsTruncatedOrPaddedBlobs) {
   EXPECT_THROW((void)resume_with(saved->state + "xx"),
                core::CheckpointError);
   EXPECT_THROW((void)resume_with(std::string()), core::CheckpointError);
+}
+
+// A state blob's per-half entries, split out so a test can forge one the
+// engine never writes (layout: Engine::save_state).
+struct BlobEntries {
+  struct Entry {
+    std::uint32_t id = 0;
+    std::uint8_t mask = 0;
+    std::string payload;
+  };
+  static constexpr std::size_t kEntriesAt = 4 + 8 + 4 + 4 + 8 * 8 + 1;
+
+  std::string head;  // everything before the entry count
+  std::vector<Entry> entries;
+  std::string tail;  // the convergence tracker
+
+  explicit BlobEntries(const std::string& blob)
+      : head(blob.substr(0, kEntriesAt)) {
+    std::size_t at = kEntriesAt;
+    const auto read = [&](std::size_t bytes) {
+      std::string out = blob.substr(at, bytes);
+      at += bytes;
+      return out;
+    };
+    std::uint64_t count = 0;
+    std::memcpy(&count, read(8).data(), 8);
+    for (std::uint64_t e = 0; e < count; ++e) {
+      Entry entry;
+      std::memcpy(&entry.id, read(4).data(), 4);
+      entry.mask = static_cast<std::uint8_t>(read(1)[0]);
+      const std::size_t bytes = ((entry.mask & 0x01) ? 16u : 0u) +
+                                ((entry.mask & 0x04) ? 4u : 0u) +
+                                ((entry.mask & 0x08) ? 4u : 0u) +
+                                ((entry.mask & 0x10) ? 4u : 0u);
+      entry.payload = read(bytes);
+      entries.push_back(entry);
+    }
+    tail = blob.substr(at);
+  }
+
+  [[nodiscard]] std::string blob() const {
+    std::string out = head;
+    const std::uint64_t count = entries.size();
+    out.append(reinterpret_cast<const char*>(&count), 8);
+    for (const Entry& entry : entries) {
+      out.append(reinterpret_cast<const char*>(&entry.id), 4);
+      out.push_back(static_cast<char>(entry.mask));
+      out += entry.payload;
+    }
+    return out + tail;
+  }
+
+  /// The first entry whose mask has (or, with `has` false, lacks) `bit`.
+  Entry& first(std::uint8_t bit, bool has = true) {
+    for (Entry& entry : entries) {
+      if (((entry.mask & bit) != 0) == has) return entry;
+    }
+    throw std::logic_error("no such entry");
+  }
+};
+
+TEST_F(CheckpointResumeGuardTest, RestoreRejectsEntriesTheEngineNeverWrites) {
+  const eval::Experiment& exp = experiment(false);
+  core::Options options;
+  options.threads = 1;
+  const std::optional<SavedState> saved = run_and_stop_at(exp, options, 1);
+  ASSERT_TRUE(saved.has_value());
+  const auto resume_with = [&](const std::string& blob) {
+    core::Engine engine = make_engine(exp, options);
+    core::RunControl control;
+    control.resume_state = &blob;
+    control.resume_boundary = saved->boundary;
+    return engine.run_controlled(control);
+  };
+  const BlobEntries parsed(saved->state);
+  ASSERT_EQ(parsed.blob(), saved->state);
+  EXPECT_TRUE(resume_with(parsed.blob()).completed());
+
+  // A direct override other than the inference's AS_N. It follows the 16
+  // bytes of the direct inference and, when present, the 4-byte source.
+  BlobEntries forged = parsed;
+  BlobEntries::Entry& overridden = forged.first(0x01);
+  overridden.payload[(overridden.mask & 0x04) != 0 ? 20u : 16u] ^= 1;
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
+
+  // An uncertain flag without a direct inference.
+  forged = parsed;
+  forged.first(0x01, /*has=*/false).mask |= 0x20;
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
+
+  // A direct inference on a phantom half (the last id, moved to the end).
+  const auto last = static_cast<std::uint32_t>(exp.graph().half_count() - 1);
+  ASSERT_GE(last, exp.graph().record_half_count());
+  ASSERT_LT(parsed.entries.back().id, last);
+  forged = parsed;
+  BlobEntries::Entry direct = forged.first(0x01);
+  std::erase_if(forged.entries, [&](const BlobEntries::Entry& entry) {
+    return entry.id == direct.id;
+  });
+  direct.id = last;
+  forged.entries.push_back(direct);
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
 }
 
 INSTANTIATE_TEST_SUITE_P(

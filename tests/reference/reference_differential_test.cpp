@@ -2,8 +2,10 @@
 // (reference/naive_mapit.h): at threads 1, 2 and 8 the engine must write
 // byte-identical confident and uncertain inferences and produce equal final
 // mappings. The inputs are the small experiment at four seeds over the f
-// operating points and both remove rules, every ConfigSweepTest regime, and
-// an IngestPipeline folding the small corpus in seeded random batches,
+// operating points and both remove rules, a battery of 32 more random small
+// topologies (also stopped at every boundary of their first two iterations
+// and resumed in a fresh engine), every ConfigSweepTest regime, and an
+// IngestPipeline folding the small corpus in seeded random batches,
 // compared after every fold.
 #include <gtest/gtest.h>
 
@@ -93,6 +95,77 @@ INSTANTIATE_TEST_SUITE_P(
     SmallExperiment, ReferenceSeedTest,
     ::testing::Values(std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{42},
                       std::uint64_t{1234}),
+    [](const ::testing::TestParamInfo<std::uint64_t>& param_info) {
+      return "Seed" + std::to_string(param_info.param);
+    });
+
+// Random small topologies (seeds 100-131). An uninterrupted run opens its
+// steps from their pending sets; a run stopped at one of the first four
+// boundaries (those of iterations 1 and 2) and resumed in a fresh engine
+// opens its next add and remove steps with full sweeps. Both must match the
+// reference, which recounts every half on every pass.
+class ReferenceRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReferenceRandomTest, EngineAndResumedRunsMatchReference) {
+  const auto exp = eval::Experiment::build(small_config(GetParam()));
+  for (const double f : {0.5, 1.0}) {
+    for (const core::RemoveRule rule :
+         {core::RemoveRule::kMajority, core::RemoveRule::kAddRule}) {
+      core::Options options;
+      options.f = f;
+      options.remove_rule = rule;
+      const std::string label =
+          "f=" + std::to_string(f) +
+          " rule=" + std::to_string(static_cast<int>(rule));
+      const reference::Output expected =
+          reference::naive_mapit(exp->graph(), exp->ip2as(), exp->orgs(),
+                                 exp->relationships(), options);
+      EXPECT_FALSE(expected.inferences.empty()) << label;
+      for (const unsigned threads : {1u, 2u}) {
+        options.threads = threads;
+        expect_same(core::run_mapit(exp->graph(), exp->ip2as(), exp->orgs(),
+                                    exp->relationships(), options),
+                    expected, label + " threads=" + std::to_string(threads));
+      }
+
+      int resumed = 0;
+      for (int stop_at = 1; stop_at <= 4; ++stop_at) {
+        options.threads = 1;
+        core::Engine stopped_engine(exp->graph(), exp->ip2as(), exp->orgs(),
+                                    exp->relationships(), options);
+        std::string blob;
+        int boundaries = 0;
+        core::RunControl stop;
+        stop.on_boundary = [&](core::RunBoundary, int) {
+          if (++boundaries < stop_at) return true;
+          blob = stopped_engine.save_state();
+          return false;
+        };
+        const core::RunOutcome stopped = stopped_engine.run_controlled(stop);
+        if (stopped.completed()) break;  // converged before this boundary
+
+        options.threads = 2;
+        core::Engine resumed_engine(exp->graph(), exp->ip2as(), exp->orgs(),
+                                    exp->relationships(), options);
+        core::RunControl resume;
+        resume.resume_state = &blob;
+        resume.resume_boundary = stopped.stopped_at;
+        const core::RunOutcome outcome = resumed_engine.run_controlled(resume);
+        ASSERT_TRUE(outcome.completed()) << label << " stop " << stop_at;
+        expect_same(*outcome.result, expected,
+                    label + " resumed at boundary " + std::to_string(stop_at));
+        ++resumed;
+      }
+      // A run converges at iteration 2 at the earliest, so it passes at
+      // least three boundaries.
+      EXPECT_GE(resumed, 3) << label;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallTopologies, ReferenceRandomTest,
+    ::testing::Range(std::uint64_t{100}, std::uint64_t{132}),
     [](const ::testing::TestParamInfo<std::uint64_t>& param_info) {
       return "Seed" + std::to_string(param_info.param);
     });

@@ -755,10 +755,9 @@ stage_sweep() {
   # the fresh integers must agree exactly with the committed
   # DIFF_sweep.json (the pipeline is seeded and thread-invariant, so any
   # disagreement is real drift). Resumable: a killed sweep continues at
-  # the first unfinished cell through the state file.
-  MAPIT_BIN="${BUILD_DIR}/tools/mapit" \
-    SWEEP_STATE="${BUILD_DIR}/diff_sweep.state" \
-    "${REPO_ROOT}/tools/diff_sweep.sh"
+  # the first unfinished cell through a state file keyed by the binary, so
+  # a rebuilt binary recomputes every cell.
+  MAPIT_BIN="${BUILD_DIR}/tools/mapit" "${REPO_ROOT}/tools/diff_sweep.sh"
   echo "diff sweep vs committed baseline: ok"
 }
 
