@@ -65,13 +65,16 @@ void Engine::reset_state() {
   // Sized here, not at construction: a fold may have grown the graph since
   // the last run. assign() keeps each slab's buffer when it is big enough.
   const std::size_t halves = graph_.half_count();
-  halves_.assign(halves, HalfState{});
-  has_direct_.assign(halves, 0);
-  direct_index_.resize(halves);
   directs_.clear();
-  indirect_source_.assign(halves, graph::kInvalidHalfId);
+  direct_index_.assign(halves, kNoDirect);
+  indirect_as_.assign(halves, asdata::kUnknownAsn);
   held_.reset(halves);
-  touched_.assign(halves, 0);
+  busy_.reset(halves);
+  for (HalfId id = 0; id < graph_.record_half_count(); ++id) {
+    if (graph_.neighbor_ids(id).size() >= 2) busy_.insert(id);
+  }
+  suppressed_.reset(halves);
+  uncertain_.reset(halves);
   base_.resize(halves);
   base_group_.resize(halves);
   resolve_base();
@@ -84,8 +87,6 @@ void Engine::reset_state() {
   remove_pending_.reset(halves);
   add_sweep_ = true;
   remove_sweep_ = false;
-  suppressed_list_.clear();
-  uncertain_list_.clear();
   stats_ = EngineStats{};
   snapshots_.clear();
   tracker_ = ConvergenceTracker{};
@@ -129,17 +130,15 @@ void Engine::resolve_base() {
 }
 
 asdata::Asn Engine::effective_as(HalfId id) const {
-  const HalfState& st = halves_[id];
-  if (st.direct_override) return *st.direct_override;
-  if (st.indirect_override) return *st.indirect_override;
+  if (holds_direct(id)) return direct(id).router_as;
+  if (indirect_as_[id] != asdata::kUnknownAsn) return indirect_as_[id];
   return base_[id];
 }
 
 std::pair<asdata::Asn, std::uint64_t> Engine::view_entry(HalfId id) const {
-  const HalfState& st = halves_[id];
-  if (st.direct_override) return {*st.direct_override, direct(id).router_group};
-  if (st.indirect_override) {
-    return {*st.indirect_override, group_key(*st.indirect_override)};
+  if (holds_direct(id)) return {direct(id).router_as, direct(id).router_group};
+  if (indirect_as_[id] != asdata::kUnknownAsn) {
+    return {indirect_as_[id], group_key(indirect_as_[id])};
   }
   return {base_[id], base_group_[id]};
 }
@@ -155,26 +154,20 @@ void Engine::freeze_view() {
   }
   stale_.clear();
 #ifndef NDEBUG
-  for (std::size_t id = 0; id < halves_.size(); ++id) {
-    const auto half = static_cast<HalfId>(id);
-    const HalfState& st = halves_[id];
-    // Every write site that makes or drops a direct or indirect inference
-    // sets the half's override, its slab entry and its held_ bit together,
-    // and a direct inference carries its ASes' group keys.
-    const bool holds_direct = has_direct_[id] != 0;
-    const bool indirect = indirect_source_[id] != graph::kInvalidHalfId;
-    if (holds_direct != st.direct_override.has_value() ||
-        indirect != st.indirect_override.has_value() ||
-        ((holds_direct || indirect) && !held_.contains(half)) ||
-        (holds_direct && (*st.direct_override != direct(half).router_as ||
-                          direct(half).router_group !=
-                              group_key(direct(half).router_as) ||
-                          direct(half).other_group !=
-                              group_key(direct(half).other_as)))) {
-      throw InvariantError("engine scan slabs disagree with the state of "
-                           "half " + std::to_string(id));
+  for (HalfId id = 0; id < graph_.half_count(); ++id) {
+    // Every write site that makes a direct or indirect inference inserts
+    // the half in held_, and a direct inference carries its ASes' group
+    // keys.
+    const bool holds = holds_direct(id);
+    if (((holds || indirect_as_[id] != asdata::kUnknownAsn) &&
+         !held_.contains(id)) ||
+        (holds &&
+         (direct(id).router_group != group_key(direct(id).router_as) ||
+          direct(id).other_group != group_key(direct(id).other_as)))) {
+      throw InvariantError("engine held set or group keys disagree with the "
+                           "state of half " + std::to_string(id));
     }
-    const asdata::Asn asn = effective_as(half);
+    const asdata::Asn asn = effective_as(id);
     if (view_[id] != asn || view_group_[id] != group_key(asn)) {
       throw InvariantError("engine frozen view is stale at half " +
                            std::to_string(id));
@@ -302,7 +295,7 @@ void Engine::mark_dependents_dirty(HalfId id) {
   // loses one is queued by that write itself (make_direct, demote_direct;
   // discard_direct suppresses the half, and lifting that queues it).
   for (HalfId dependent : graph_.reverse_neighbor_ids(id)) {
-    if (has_direct_[dependent]) {
+    if (holds_direct(dependent)) {
       remove_pending_.insert(dependent);
     } else {
       add_pending_.insert(dependent);
@@ -313,7 +306,7 @@ void Engine::mark_dependents_dirty(HalfId id) {
 template <typename Fn>
 void Engine::mutate_mapping(HalfId id, Fn&& fn) {
   const asdata::Asn before = effective_as(id);
-  fn(halves_[id]);
+  fn();
   if (effective_as(id) != before) {
     mark_dependents_dirty(id);
     stale_.push_back(id);
@@ -324,43 +317,25 @@ void Engine::mutate_mapping(HalfId id, Fn&& fn) {
 // Bookkeeping
 // ---------------------------------------------------------------------------
 
-void Engine::clear_flags(std::vector<HalfId>& list, bool HalfState::*flag) {
-  for (HalfId id : list) halves_[id].*flag = false;
-  list.clear();
-#ifndef NDEBUG
-  for (std::size_t id = 0; id < halves_.size(); ++id) {
-    if (halves_[id].*flag) {
-      throw InvariantError("engine flag list misses half " +
-                           std::to_string(id));
-    }
-  }
-#endif
-}
-
 void Engine::discard_direct(HalfId id) {
-  if (!has_direct_[id]) return;
-  mutate_mapping(id, [&](HalfState& s) {
-    has_direct_[id] = 0;
-    s.direct_override.reset();
-    s.uncertain = false;
-    // Until the next add step, whose opening queues the half for add
-    // evaluation when it lifts the suppression.
-    s.suppressed = true;
-  });
-  suppressed_list_.push_back(id);
+  if (!holds_direct(id)) return;
+  mutate_mapping(id, [&] { direct_index_[id] = kNoDirect; });
+  uncertain_.erase(id);
+  // Until the next add step, whose opening queues the half for add
+  // evaluation when it lifts the suppression.
+  suppressed_.insert(id);
   // The indirect inference propagated to the other side dies with its
-  // source (§4.4.2).
+  // source (§4.4.2); the other side's indirect inference, if any, has this
+  // half as its source.
   const HalfId other = graph_.other_side_id(id);
-  if (other != graph::kInvalidHalfId && indirect_source_[other] == id) {
+  if (other != graph::kInvalidHalfId &&
+      indirect_as_[other] != asdata::kUnknownAsn) {
     discard_indirect(other);
   }
 }
 
 void Engine::discard_indirect(HalfId id) {
-  mutate_mapping(id, [&](HalfState& st) {
-    indirect_source_[id] = graph::kInvalidHalfId;
-    st.indirect_override.reset();
-  });
+  mutate_mapping(id, [&] { indirect_as_[id] = asdata::kUnknownAsn; });
 }
 
 // ---------------------------------------------------------------------------
@@ -372,25 +347,20 @@ void Engine::apply_indirect(HalfId source) {
   // IXP LANs are multipoint: the /30-/31 other-side relation does not hold
   // there (footnote 7).
   if (options_.ixp_aware && ip2as_.is_ixp(graph_.address_at(source))) return;
-  if (!has_direct_[source]) return;
+  if (!holds_direct(source)) return;
   const HalfId other = graph_.other_side_id(source);
   if (other == graph::kInvalidHalfId) return;
   if (net::is_special_purpose(graph_.address_at(other))) return;
   const asdata::Asn router = direct(source).router_as;
-  touched_[other] = 1;
   held_.insert(other);
-  mutate_mapping(other, [&](HalfState& ot) {
-    indirect_source_[other] = source;
-    ot.indirect_override = router;
-  });
+  mutate_mapping(other, [&] { indirect_as_[other] = router; });
 }
 
 std::optional<Engine::DirectProposal> Engine::evaluate_direct(
-    HalfId id, std::vector<VoteGroup>& scratch) {
+    HalfId id, std::vector<VoteGroup>& scratch) const {
   const auto neighbors = graph_.neighbor_ids(id);
   if (neighbors.size() < 2) return std::nullopt;  // §4.3's two-address floor
-  touched_[id] = 1;
-  if (has_direct_[id] || halves_[id].suppressed) return std::nullopt;
+  if (holds_direct(id) || suppressed_.contains(id)) return std::nullopt;
 
   const MajorityResult majority = count_majority(id, scratch);
   if (!majority.strict) return std::nullopt;
@@ -409,11 +379,9 @@ std::optional<Engine::DirectProposal> Engine::evaluate_direct(
 
 void Engine::make_direct(HalfId id, const DirectInference& inference) {
   held_.insert(id);
-  mutate_mapping(id, [&](HalfState& s) {
+  mutate_mapping(id, [&] {
     direct_index_[id] = static_cast<std::uint32_t>(directs_.size());
     directs_.push_back(inference);
-    has_direct_[id] = 1;
-    s.direct_override = inference.router_as;
   });
   // Its support is what the next remove step checks.
   remove_pending_.insert(id);
@@ -439,7 +407,7 @@ void Engine::decide_pass(bool full_sweep, HalfSet& pending,
   // last-writer effects, dirty marks, and stats are all identical.
   for (auto& buffer : buffers) buffer.clear();
   if (full_sweep) {
-    pending.reset(halves_.size());
+    pending.reset(graph_.half_count());
     const auto sweep = [&](unsigned worker, std::size_t begin,
                            std::size_t end) {
       for (std::size_t id = begin; id < end; ++id) {
@@ -469,8 +437,7 @@ void Engine::decide_pass(bool full_sweep, HalfSet& pending,
     }
   });
 #ifndef NDEBUG
-  // A full sweep must decide exactly this. Deciding writes only touched_,
-  // which this run's first add sweep, a full one, already set.
+  // A full sweep must decide exactly this; deciding writes nothing.
   std::vector<T> full;
   for (HalfId id = 0; id < graph_.record_half_count(); ++id) {
     if (const auto decision = decide(id, vote_scratch_[0])) {
@@ -505,9 +472,9 @@ bool Engine::resolve_dual_inferences() {
   // (§4.4.3). Interfaces without a base IP2AS mapping are left alone.
   bool changed = false;
   held_.for_each([&](HalfId fwd) {
-    if (fwd % 2 != 0 || !has_direct_[fwd]) return;
+    if (fwd % 2 != 0 || !holds_direct(fwd)) return;
     const HalfId bwd = fwd + 1;
-    if (!has_direct_[bwd]) return;
+    if (!holds_direct(bwd)) return;
     if (base_[fwd] == asdata::kUnknownAsn) return;
     if (direct(fwd).router_group == direct(bwd).router_group) {
       return;  // same AS both ways: load balancing/siblings; keep both
@@ -527,17 +494,17 @@ bool Engine::resolve_inverse_inferences() {
   // inference, in which case both are flagged uncertain.
   // Uncertainty is recomputed from scratch each resolution pass, so the
   // stats counter reflects the latest pass, not a running total.
-  clear_flags(uncertain_list_, &HalfState::uncertain);
+  uncertain_.reset(graph_.half_count());
   stats_.uncertain_pairs = 0;
 
   bool changed = false;
   held_.for_each([&](HalfId fwd) {
-    if (fwd % 2 != 0 || !has_direct_[fwd]) return;
+    if (fwd % 2 != 0 || !holds_direct(fwd)) return;
     const DirectInference& fd = direct(fwd);
     // A forward half's neighbour span is exactly the backward halves of
     // its N_F members.
     for (HalfId nb : graph_.neighbor_ids(fwd)) {
-      if (!has_direct_[nb]) continue;
+      if (!holds_direct(nb)) continue;
       const DirectInference& bd = direct(nb);
       if (bd.router_group != fd.other_group ||
           bd.other_group != fd.router_group) {
@@ -545,13 +512,11 @@ bool Engine::resolve_inverse_inferences() {
       }
       const HalfId nb_other = graph_.other_side_id(nb);
       const bool other_has_direct =
-          nb_other != graph::kInvalidHalfId && has_direct_[nb_other];
+          nb_other != graph::kInvalidHalfId && holds_direct(nb_other);
       if (other_has_direct) {
         // Neither IH is nearer: emit both as uncertain (§4.4.4).
-        halves_[fwd].uncertain = true;
-        halves_[nb].uncertain = true;
-        uncertain_list_.push_back(fwd);
-        uncertain_list_.push_back(nb);
+        uncertain_.insert(fwd);
+        uncertain_.insert(nb);
         ++stats_.uncertain_pairs;
       } else {
         discard_direct(nb);
@@ -565,8 +530,7 @@ bool Engine::resolve_inverse_inferences() {
 
 void Engine::add_step() {
   // Lifting a suppression can turn the half's verdict into a proposal.
-  for (HalfId id : suppressed_list_) add_pending_.insert(id);
-  clear_flags(suppressed_list_, &HalfState::suppressed);
+  suppressed_.drain([this](HalfId id) { add_pending_.insert(id); });
   const bool first_step = stats_.iterations == 0;
   bool first_pass = true;
   bool changed = true;
@@ -589,28 +553,21 @@ void Engine::add_step() {
 // ---------------------------------------------------------------------------
 
 void Engine::demote_direct(HalfId id) {
-  mutate_mapping(id, [&](HalfState& st) {
-    has_direct_[id] = 0;
-    st.uncertain = false;
+  mutate_mapping(id, [&] {
     // Retain the mapping as an indirect inference associated with the
     // other side's direct inference (§4.5) — unless the half already
     // carries a live indirect association, which must not be clobbered
     // (it is a genuine propagation from the other side's own inference).
-    const HalfId source = indirect_source_[id];
-    const bool live_indirect =
-        source != graph::kInvalidHalfId && has_direct_[source];
-    if (!live_indirect) {
-      st.indirect_override = st.direct_override;
-      indirect_source_[id] = graph_.other_side_id(id);
-    }
-    st.direct_override.reset();
+    if (!live_indirect(id)) indirect_as_[id] = direct(id).router_as;
+    direct_index_[id] = kNoDirect;
   });
+  uncertain_.erase(id);
   add_pending_.insert(id);  // it may earn a direct inference again
   ++stats_.demoted_in_remove_step;
 }
 
 bool Engine::lost_support(HalfId id, std::vector<VoteGroup>& scratch) const {
-  if (!has_direct_[id]) return false;
+  if (!holds_direct(id)) return false;
   const DirectInference& inference = direct(id);
   const auto neighbors = graph_.neighbor_ids(id);
 
@@ -654,8 +611,9 @@ void Engine::remove_step() {
     // Pass 2: discard indirect inferences whose associated direct
     // inference is gone, along with their IP2AS updates.
     held_.for_each([&](HalfId id) {
-      const HalfId source = indirect_source_[id];
-      if (source == graph::kInvalidHalfId || has_direct_[source]) return;
+      if (indirect_as_[id] == asdata::kUnknownAsn || live_indirect(id)) {
+        return;
+      }
       discard_indirect(id);
       ++stats_.removed_in_remove_step;
       discarded = true;
@@ -679,9 +637,7 @@ void Engine::stub_step() {
     const HalfId n_b = forward[0];  // {neighbour, kBackward}
 
     auto has_inference = [&](HalfId id) {
-      if (has_direct_[id]) return true;
-      const HalfId source = indirect_source_[id];
-      return source != graph::kInvalidHalfId && has_direct_[source] != 0;
+      return holds_direct(id) || live_indirect(id);
     };
     if (has_inference(h_b) || has_inference(n_b) || has_inference(h_f)) {
       continue;
@@ -693,7 +649,6 @@ void Engine::stub_step() {
     if (view_group_[h_f] == view_group_[n_b]) continue;
     if (!rels_.is_stub(as_n)) continue;  // providers are never stubs, which
                                          // also defuses third-party replies
-    touched_[h_f] = 1;
     make_direct(h_f, DirectInference{as_n, as_h, view_group_[n_b],
                                      view_group_[h_f], /*votes=*/1,
                                      /*neighbor_count=*/1,
@@ -710,20 +665,20 @@ void Engine::stub_step() {
 std::vector<Inference> Engine::collect(bool confident) const {
   std::vector<Inference> out;
   const auto visit = [&](HalfId id) {
-    if (has_direct_[id]) {
-      const HalfState& st = halves_[id];
-      if (st.uncertain == confident) return;
+    if (holds_direct(id)) {
+      const bool uncertain = uncertain_.contains(id);
+      if (uncertain == confident) return;
       const DirectInference& inference = direct(id);
       out.push_back(Inference{
           graph_.half_at(id), inference.router_as, inference.other_as,
           inference.from_stub_heuristic ? InferenceKind::kStub
                                         : InferenceKind::kDirect,
-          st.uncertain, inference.votes, inference.neighbor_count});
+          uncertain, inference.votes, inference.neighbor_count});
       return;
     }
-    const HalfId source_id = indirect_source_[id];
-    if (source_id == graph::kInvalidHalfId || !confident) return;
-    if (!has_direct_[source_id] || halves_[source_id].uncertain) return;
+    if (!confident || !live_indirect(id)) return;
+    const HalfId source_id = graph_.other_side_id(id);
+    if (uncertain_.contains(source_id)) return;
     // The other side of a link shares its AS pair with the direct
     // inference, with the roles mirrored (§4.4.2).
     const DirectInference& source = direct(source_id);
@@ -747,11 +702,8 @@ Engine::final_mappings() const {
   const std::size_t records = graph_.record_half_count();
   std::size_t record_entries = 0;
   held_.for_each([&](HalfId id) {
-    // The override slots are set exactly while the slabs say so.
-    if (has_direct_[id]) {
-      out.emplace_back(graph_.half_at(id), *halves_[id].direct_override);
-    } else if (indirect_source_[id] != graph::kInvalidHalfId) {
-      out.emplace_back(graph_.half_at(id), *halves_[id].indirect_override);
+    if (holds_direct(id) || indirect_as_[id] != asdata::kUnknownAsn) {
+      out.emplace_back(graph_.half_at(id), effective_as(id));
     }
     if (id < records) record_entries = out.size();
   });
@@ -771,15 +723,17 @@ std::string Engine::state_signature() const {
   //
   // Written into one buffer of the exact size: 5 bytes per touched half
   // (id, mask); 12 more while it holds a direct inference (AS_N, the
-  // previous AS, the direct override) and 8 while it carries an indirect
-  // one (the source, the indirect override). The override slots are set
-  // exactly while the slabs say so.
+  // previous AS, the direct override, which is AS_N) and 8 while it carries
+  // an indirect one (the source, which is its other side, and the indirect
+  // AS).
   std::size_t size = 0;
-  for (const std::uint8_t flag : touched_) size += 5u * flag;
+  for (std::size_t word = 0; word < held_.words.size(); ++word) {
+    size += 5u * static_cast<unsigned>(
+                     std::popcount(busy_.words[word] | held_.words[word]));
+  }
   held_.for_each([&](HalfId id) {
-    if (!touched_[id]) return;
-    if (has_direct_[id]) size += 12;
-    if (indirect_source_[id] != graph::kInvalidHalfId) size += 8;
+    if (holds_direct(id)) size += 12;
+    if (indirect_as_[id] != asdata::kUnknownAsn) size += 8;
   });
   std::string sig(size, '\0');
   char* out = sig.data();
@@ -787,32 +741,34 @@ std::string Engine::state_signature() const {
     std::memcpy(out, &value, sizeof(value));
     out += sizeof(value);
   };
-  const std::size_t halves = halves_.size();
-  for (std::size_t id = 0; id < halves; ++id) {
-    if (!touched_[id]) continue;
-    put32(static_cast<std::uint32_t>(id));
-    if (!held_.contains(static_cast<HalfId>(id))) {
-      *out++ = 0;
-      continue;
+  // The touched halves, ascending: busy_ ∪ held_, a word at a time.
+  for (std::size_t word = 0; word < held_.words.size(); ++word) {
+    const std::uint64_t held = held_.words[word];
+    for (std::uint64_t bits = busy_.words[word] | held; bits != 0;
+         bits &= bits - 1) {
+      const auto bit = static_cast<unsigned>(std::countr_zero(bits));
+      const auto id = static_cast<HalfId>(word * 64 + bit);
+      put32(id);
+      if (((held >> bit) & 1) == 0) {
+        *out++ = 0;
+        continue;
+      }
+      const bool holds = holds_direct(id);
+      const bool indirect = indirect_as_[id] != asdata::kUnknownAsn;
+      std::uint8_t mask = 0;
+      if (holds) mask |= 0x01 | 0x08;  // the inference and its override
+      if (holds && direct(id).from_stub_heuristic) mask |= 0x02;
+      if (indirect) mask |= 0x04 | 0x10;
+      if (uncertain_.contains(id)) mask |= 0x20;
+      *out++ = static_cast<char>(mask);
+      if (holds) {
+        put32(direct(id).router_as);
+        put32(direct(id).other_as);
+      }
+      if (indirect) put32(graph_.other_side_id(id));
+      if (holds) put32(direct(id).router_as);  // the direct override
+      if (indirect) put32(indirect_as_[id]);
     }
-    const HalfState& st = halves_[id];
-    const auto half = static_cast<HalfId>(id);
-    const bool holds_direct = has_direct_[id] != 0;
-    const HalfId source = indirect_source_[id];
-    const bool indirect = source != graph::kInvalidHalfId;
-    std::uint8_t mask = 0;
-    if (holds_direct) mask |= 0x01 | 0x08;  // the inference and its override
-    if (holds_direct && direct(half).from_stub_heuristic) mask |= 0x02;
-    if (indirect) mask |= 0x04 | 0x10;
-    if (st.uncertain) mask |= 0x20;
-    *out++ = static_cast<char>(mask);
-    if (holds_direct) {
-      put32(direct(half).router_as);
-      put32(direct(half).other_as);
-    }
-    if (indirect) put32(source);
-    if (holds_direct) put32(direct(half).router_as);  // the direct override
-    if (indirect) put32(*st.indirect_override);
   }
   return sig;
 }
@@ -830,7 +786,7 @@ void Engine::count_divergent_other_sides() {
   auto pair_of = [&](HalfId first)
       -> std::optional<std::pair<std::uint64_t, std::uint64_t>> {
     for (HalfId id : {first, static_cast<HalfId>(first + 1)}) {
-      if (has_direct_[id]) {
+      if (holds_direct(id)) {
         std::uint64_t a = direct(id).router_group;
         std::uint64_t b = direct(id).other_group;
         if (b < a) std::swap(a, b);
@@ -842,7 +798,7 @@ void Engine::count_divergent_other_sides() {
   held_.for_each([&](HalfId id) {
     // An interface without a direct inference has no pair to compare;
     // visit each other one once, at its first half that holds one.
-    if (!has_direct_[id] || (id % 2 != 0 && has_direct_[id - 1])) return;
+    if (!holds_direct(id) || (id % 2 != 0 && holds_direct(id - 1))) return;
     const HalfId fwd = id & ~1u;
     const std::size_t i = fwd / 2;
     const net::Ipv4Address other = records[i].other_side.address;
@@ -952,9 +908,10 @@ constexpr std::uint32_t kStateBlobVersion = 1;
 }  // namespace
 
 std::string Engine::save_state() const {
+  const auto halves = static_cast<HalfId>(graph_.half_count());
   std::string blob;
   wire::append_u32(blob, kStateBlobVersion);
-  wire::append_u64(blob, halves_.size());
+  wire::append_u64(blob, halves);
 
   wire::append_u32(blob, static_cast<std::uint32_t>(stats_.iterations));
   wire::append_u32(blob, static_cast<std::uint32_t>(stats_.add_passes));
@@ -971,50 +928,46 @@ std::string Engine::save_state() const {
   // Sparse per-half entries in ascending id order (canonical). A half is
   // recorded when it ever held state this run; empty-but-touched halves
   // matter because the convergence signature covers exactly the touched
-  // set.
-  const std::size_t halves = halves_.size();
+  // set. The overrides and the indirect source are written as the records
+  // imply them: AS_N, the indirect AS and the half's other side.
   std::uint64_t entries = 0;
-  auto entry_mask = [this](std::size_t id) {
-    const HalfState& st = halves_[id];
+  auto entry_mask = [this](HalfId id) {
     std::uint8_t mask = 0;
-    if (has_direct_[id]) {
-      mask |= kMaskDirect;
-      if (direct(static_cast<HalfId>(id)).from_stub_heuristic) {
-        mask |= kMaskStub;
-      }
+    if (holds_direct(id)) {
+      mask |= kMaskDirect | kMaskDirectOverride;
+      if (direct(id).from_stub_heuristic) mask |= kMaskStub;
     }
-    if (indirect_source_[id] != graph::kInvalidHalfId) {
-      mask |= kMaskIndirectSource;
+    if (indirect_as_[id] != asdata::kUnknownAsn) {
+      mask |= kMaskIndirectSource | kMaskIndirectOverride;
     }
-    if (st.direct_override) mask |= kMaskDirectOverride;
-    if (st.indirect_override) mask |= kMaskIndirectOverride;
-    if (st.uncertain) mask |= kMaskUncertain;
-    if (st.suppressed) mask |= kMaskSuppressed;
-    if (touched_[id]) mask |= kMaskTouched;
+    if (uncertain_.contains(id)) mask |= kMaskUncertain;
+    if (suppressed_.contains(id)) mask |= kMaskSuppressed;
+    if (touched(id)) mask |= kMaskTouched;
     return mask;
   };
-  for (std::size_t id = 0; id < halves; ++id) {
+  for (HalfId id = 0; id < halves; ++id) {
     if (entry_mask(id) != 0) ++entries;
   }
   wire::append_u64(blob, entries);
-  for (std::size_t id = 0; id < halves; ++id) {
+  for (HalfId id = 0; id < halves; ++id) {
     const std::uint8_t mask = entry_mask(id);
     if (mask == 0) continue;
-    const HalfState& st = halves_[id];
-    wire::append_u32(blob, static_cast<std::uint32_t>(id));
+    wire::append_u32(blob, id);
     blob.push_back(static_cast<char>(mask));
     if (mask & kMaskDirect) {
-      const DirectInference& inference = direct(static_cast<HalfId>(id));
+      const DirectInference& inference = direct(id);
       wire::append_u32(blob, inference.router_as);
       wire::append_u32(blob, inference.other_as);
       wire::append_u32(blob, inference.votes);
       wire::append_u32(blob, inference.neighbor_count);
     }
     if (mask & kMaskIndirectSource) {
-      wire::append_u32(blob, indirect_source_[id]);
+      wire::append_u32(blob, graph_.other_side_id(id));
     }
-    if (st.direct_override) wire::append_u32(blob, *st.direct_override);
-    if (st.indirect_override) wire::append_u32(blob, *st.indirect_override);
+    if (mask & kMaskDirectOverride) {
+      wire::append_u32(blob, direct(id).router_as);
+    }
+    if (mask & kMaskIndirectOverride) wire::append_u32(blob, indirect_as_[id]);
   }
 
   // Convergence tracker, in insertion order; hashes are recomputed at
@@ -1036,7 +989,7 @@ void Engine::restore_state(const std::string& blob) {
                           std::to_string(version));
   }
   const std::uint64_t half_count = cursor.read_u64();
-  if (half_count != halves_.size()) {
+  if (half_count != graph_.half_count()) {
     throw CheckpointError(
         "engine state half count does not match this graph (checkpoint is "
         "from different inputs)");
@@ -1058,6 +1011,10 @@ void Engine::restore_state(const std::string& blob) {
     throw CheckpointError("engine state counters out of range");
   }
 
+  // Touched is derived (touched()), so the blob's touched bits must be
+  // exactly what the restored records reproduce: set on every half with at
+  // least two neighbours and on every half holding an inference.
+  std::size_t busy_touched = 0;
   const std::uint64_t entries = cursor.read_u64();
   std::int64_t previous_id = -1;
   for (std::uint64_t e = 0; e < entries; ++e) {
@@ -1067,9 +1024,8 @@ void Engine::restore_state(const std::string& blob) {
     }
     previous_id = id;
     const std::uint8_t mask = cursor.read_u8();
-    // A saved state sets each override exactly with its inference (the
-    // engine's slabs rely on it), and the stub and uncertain flags only on
-    // a direct one.
+    // A saved state sets each override exactly with its inference, and the
+    // stub and uncertain flags only on a direct one.
     const auto has = [mask](std::uint8_t bit) { return (mask & bit) != 0; };
     if ((has(kMaskStub) && !has(kMaskDirect)) ||
         (has(kMaskUncertain) && !has(kMaskDirect)) ||
@@ -1077,6 +1033,12 @@ void Engine::restore_state(const std::string& blob) {
         has(kMaskIndirectSource) != has(kMaskIndirectOverride)) {
       throw CheckpointError("engine state entry flags inconsistent");
     }
+    const bool holds = has(kMaskDirect) || has(kMaskIndirectSource);
+    const bool busy = busy_.contains(id);
+    if ((holds || busy) && !has(kMaskTouched)) {
+      throw CheckpointError("engine state touched flag missing");
+    }
+    busy_touched += busy ? 1u : 0u;
     if (has(kMaskDirect)) {
       // Only a record half has the neighbours a direct inference needs;
       // the scans for inferences rely on it.
@@ -1088,6 +1050,9 @@ void Engine::restore_state(const std::string& blob) {
       DirectInference inference;
       inference.router_as = cursor.read_u32();
       inference.other_as = cursor.read_u32();
+      if (inference.router_as == asdata::kUnknownAsn) {
+        throw CheckpointError("engine state direct inference has no AS_N");
+      }
       inference.router_group = group_key(inference.router_as);
       inference.other_group = group_key(inference.other_as);
       inference.from_stub_heuristic = has(kMaskStub);
@@ -1096,30 +1061,38 @@ void Engine::restore_state(const std::string& blob) {
       direct_index_[id] = static_cast<std::uint32_t>(directs_.size());
       directs_.push_back(inference);
     }
-    HalfId source = graph::kInvalidHalfId;
     if (has(kMaskIndirectSource)) {
-      source = cursor.read_u32();
+      const std::uint32_t source = cursor.read_u32();
       if (source >= half_count) {
         throw CheckpointError("engine state indirect source out of range");
       }
-    }
-    HalfState st;
-    if (has(kMaskDirectOverride)) {
-      st.direct_override = cursor.read_u32();
-      if (*st.direct_override != direct(id).router_as) {
-        throw CheckpointError("engine state direct override is not AS_N");
+      if (source != graph_.other_side_id(id)) {
+        throw CheckpointError(
+            "engine state indirect source is not the other side");
       }
     }
-    if (has(kMaskIndirectOverride)) st.indirect_override = cursor.read_u32();
-    st.uncertain = has(kMaskUncertain);
-    st.suppressed = has(kMaskSuppressed);
-    halves_[id] = st;
-    has_direct_[id] = has(kMaskDirect) ? 1 : 0;
-    indirect_source_[id] = source;
-    if (has(kMaskDirect) || has(kMaskIndirectSource)) held_.insert(id);
-    if (st.uncertain) uncertain_list_.push_back(id);
-    if (st.suppressed) suppressed_list_.push_back(id);
-    touched_[id] = has(kMaskTouched) ? 1 : 0;
+    if (has(kMaskDirectOverride) && cursor.read_u32() != direct(id).router_as) {
+      throw CheckpointError("engine state direct override is not AS_N");
+    }
+    if (has(kMaskIndirectOverride)) {
+      indirect_as_[id] = cursor.read_u32();
+      if (indirect_as_[id] == asdata::kUnknownAsn) {
+        throw CheckpointError("engine state indirect override is unknown");
+      }
+    }
+    if (has(kMaskUncertain)) uncertain_.insert(id);
+    if (has(kMaskSuppressed)) suppressed_.insert(id);
+    // held_ is every half that has held an inference this run: those that
+    // hold one now, and the touched halves with too few neighbours to be
+    // touched otherwise, which held one earlier.
+    if (holds || (has(kMaskTouched) && !busy)) held_.insert(id);
+  }
+  std::size_t busy_halves = 0;
+  for (const std::uint64_t word : busy_.words) {
+    busy_halves += static_cast<unsigned>(std::popcount(word));
+  }
+  if (busy_touched != busy_halves) {
+    throw CheckpointError("engine state touched flag missing");
   }
 
   const std::uint32_t tracked = cursor.read_u32();
@@ -1136,16 +1109,15 @@ void Engine::restore_state(const std::string& blob) {
     throw CheckpointError("engine state blob has trailing bytes");
   }
 
-  // Commit only after the whole blob parsed cleanly (halves_/touched_ are
-  // already written, but a throw above aborts the resume entirely — the
-  // caller never runs on a half-restored engine).
+  // Commit only after the whole blob parsed cleanly (the per-half records
+  // are already written, but a throw above aborts the resume entirely —
+  // the caller never runs on a half-restored engine).
   stats_ = stats;
   tracker_ = std::move(tracker);
-  // The restored overrides bypassed mutate_mapping, so stale_ knows none
-  // of them: transcribe every half once.
-  const std::size_t halves = halves_.size();
-  for (std::size_t id = 0; id < halves; ++id) {
-    std::tie(view_[id], view_group_[id]) = view_entry(static_cast<HalfId>(id));
+  // The restored records bypassed mutate_mapping, so stale_ knows none of
+  // them: transcribe every half once.
+  for (HalfId id = 0; id < half_count; ++id) {
+    std::tie(view_[id], view_group_[id]) = view_entry(id);
   }
   // Nor do the pending sets: the next add and remove steps sweep every
   // half instead.
@@ -1171,15 +1143,6 @@ std::optional<asdata::Asn> Result::final_mapping(
       });
   if (it == final_mappings.end() || it->first != half) return std::nullopt;
   return it->second;
-}
-
-std::vector<const Inference*> Result::find_address(
-    net::Ipv4Address address) const {
-  std::vector<const Inference*> out;
-  for (const Inference& inference : inferences) {
-    if (inference.half.address == address) out.push_back(&inference);
-  }
-  return out;
 }
 
 Result run_mapit(const graph::InterfaceGraph& graph, const bgp::Ip2As& ip2as,

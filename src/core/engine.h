@@ -19,22 +19,25 @@
 //
 // State layout: every interface half carries a dense graph::HalfId
 // (interface index * 2 + direction); all engine state lives in flat slabs
-// indexed by that id, so the hot loops are plain vector reads with no
-// hashing. A half's add or remove verdict is a pure function of its own
-// state and its neighbours' frozen mappings, so every write that can change
-// a verdict queues the half in a pending set, one for add evaluation and
-// one for remove evaluation; a step's passes evaluate only their set, in
-// ascending id order, which keeps inference output identical to a
-// full-recount engine. Only a fresh run's first add step and the two step
-// openings after a resume sweep every half. Freezing the view is
-// change-driven too: it re-transcribes only the halves whose effective
-// mapping changed since the last freeze. The scans that look for
-// inferences (dual and inverse resolution, the remove step's indirect
-// discard, the output lists) walk a bitset of the halves that have held one
-// this run and read two compact slabs — whether a half holds a direct
-// inference, and the source of its indirect one — and a direct inference
-// carries the sibling group keys of its two ASes, so none of them looks up
-// an organization. See DESIGN.md "Dense engine state" for the invariants.
+// and bitsets indexed by that id, so the hot loops are plain vector reads
+// with no hashing. Each per-half fact has one record: the index of the
+// direct inference a half holds, the AS of the indirect inference its other
+// side gave it (the other-side relation is an involution, so the source of
+// an indirect inference is always the half's other side), and the
+// suppressed and uncertain bits. A half's add or remove verdict is a pure
+// function of its own state and its neighbours' frozen mappings, so every
+// write that can change a verdict queues the half in a pending set, one for
+// add evaluation and one for remove evaluation; a step's passes evaluate
+// only their set, in ascending id order, which keeps inference output
+// identical to a full-recount engine. Only a fresh run's first add step and
+// the two step openings after a resume sweep every half. Freezing the view
+// is change-driven too: it re-transcribes only the halves whose effective
+// mapping changed since the last freeze. The scans that look for inferences
+// (dual and inverse resolution, the remove step's indirect discard, the
+// output lists) walk a bitset of the halves that have held one this run,
+// and a direct inference carries the sibling group keys of its two ASes, so
+// none of them looks up an organization. See DESIGN.md "Dense engine state"
+// for the invariants.
 //
 // Residency: an Engine may run many times over a graph that grows between
 // runs (InterfaceGraph::fold, as `mapit ingest` does per publish). Each run
@@ -45,9 +48,9 @@
 //
 // Threading: a full sweep evaluates candidates over disjoint HalfId ranges
 // on Options::threads workers — counting reads only the frozen view
-// (§4.4.5), so evaluation is pure — and commits the collected proposals
-// sequentially in ascending id order. Output is byte-identical for every
-// thread count; see DESIGN.md "Parallel sweeps".
+// (§4.4.5), and evaluation writes nothing — and commits the collected
+// proposals sequentially in ascending id order. Output is byte-identical
+// for every thread count; see DESIGN.md "Parallel sweeps".
 #pragma once
 
 #include <cstdint>
@@ -168,9 +171,6 @@ struct Result {
   /// Final mapping override of the given half, if any.
   [[nodiscard]] std::optional<asdata::Asn> final_mapping(
       const graph::InterfaceHalf& half) const;
-  /// Any confident inference (either half) on the given address.
-  [[nodiscard]] std::vector<const Inference*> find_address(
-      net::Ipv4Address address) const;
 };
 
 /// What run_controlled came back with: a finished Result, or the boundary
@@ -205,15 +205,13 @@ class Engine {
   /// per-stage snapshots from before the checkpoint are not recoverable.
   [[nodiscard]] RunOutcome run_controlled(const RunControl& control);
 
-  /// Complete resumable engine state: per-half slabs, touch flags, stats,
+  /// Complete resumable engine state: per-half records, touch flags, stats,
   /// and the convergence tracker's recorded states — unlike
   /// state_signature(), which deliberately drops output-only fields. The
   /// blob is versioned and host-endian; core/checkpoint.h wraps it in a
   /// CRC-checked file with endianness pinned in the header. Only
   /// meaningful at a RunBoundary (inside on_boundary).
   [[nodiscard]] std::string save_state() const;
-
-  [[nodiscard]] const Options& options() const { return options_; }
 
  private:
   using HalfId = graph::HalfId;
@@ -231,27 +229,15 @@ class Engine {
     bool from_stub_heuristic = false;
   };
 
-  /// Per-half state, one slab entry per graph::HalfId. Whether the half
-  /// holds a direct inference, the inference itself and the source of its
-  /// indirect inference live apart (has_direct_, direct(),
-  /// indirect_source_).
-  struct HalfState {
-    /// Set exactly while the half holds a direct inference (to its AS_N).
-    std::optional<asdata::Asn> direct_override;
-    /// Set exactly while the half carries an indirect inference.
-    std::optional<asdata::Asn> indirect_override;
-    bool uncertain = false;
-    /// Direct inference discarded during this add step; cannot be re-made
-    /// until the next add step (§4.4.5 single-inference-per-step rule).
-    bool suppressed = false;
-  };
-
   /// A set of halves, one bit per HalfId, walked in ascending id order.
   struct HalfSet {
     std::vector<std::uint64_t> words;
 
     void reset(std::size_t halves) { words.assign((halves + 63) / 64, 0); }
     void insert(HalfId id) { words[id / 64] |= std::uint64_t{1} << (id % 64); }
+    void erase(HalfId id) {
+      words[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+    }
     [[nodiscard]] bool contains(HalfId id) const {
       return ((words[id / 64] >> (id % 64)) & 1) != 0;
     }
@@ -265,9 +251,28 @@ class Engine {
     void drain(Fn&& fn);
   };
 
-  /// The direct inference `id` holds; only while has_direct_[id] is set.
+  /// direct_index_ of a half that holds no direct inference.
+  static constexpr std::uint32_t kNoDirect = 0xffffffffu;
+
+  [[nodiscard]] bool holds_direct(HalfId id) const {
+    return direct_index_[id] != kNoDirect;
+  }
+  /// The direct inference `id` holds; only while holds_direct(id).
   [[nodiscard]] const DirectInference& direct(HalfId id) const {
     return directs_[direct_index_[id]];
+  }
+  /// Whether `id` carries an indirect inference whose source, its other
+  /// side, still holds the direct inference that gave it.
+  [[nodiscard]] bool live_indirect(HalfId id) const {
+    return indirect_as_[id] != asdata::kUnknownAsn &&
+           holds_direct(graph_.other_side_id(id));
+  }
+  /// The halves the convergence signature and the blob's touched bit cover:
+  /// every half the first add step's sweep evaluated (busy_) and every half
+  /// that has held an inference. Valid at every run boundary, since a fresh
+  /// run's first add step sweeps every record half.
+  [[nodiscard]] bool touched(HalfId id) const {
+    return busy_.contains(id) || held_.contains(id);
   }
 
   // --- mapping views -------------------------------------------------
@@ -280,8 +285,8 @@ class Engine {
   /// Brings view_ / view_group_ up to the current state (the per-pass
   /// mapping freeze of §4.4.5) by re-transcribing only the stale halves.
   /// Debug builds then check the result against a full transcription, and
-  /// the slabs against the halves' override slots, the held_ bits and the
-  /// cached group keys (InvariantError on a mismatch).
+  /// that held_ covers every half holding an inference and each direct
+  /// inference's cached group keys (InvariantError on a mismatch).
   void freeze_view();
 
   // --- counting ------------------------------------------------------
@@ -334,10 +339,10 @@ class Engine {
                            const DirectProposal&) = default;
   };
   /// Decides whether `id` earns a direct inference against the frozen view.
-  /// Reads only shared immutable state plus `id`'s own state; writes only
-  /// touched_[id] — safe to call concurrently over disjoint id ranges.
+  /// Reads only the frozen view and `id`'s own state and writes nothing but
+  /// `scratch`, so workers call it concurrently.
   [[nodiscard]] std::optional<DirectProposal> evaluate_direct(
-      HalfId id, std::vector<VoteGroup>& scratch);
+      HalfId id, std::vector<VoteGroup>& scratch) const;
   /// Applies a proposal: records the inference, updates the mapping
   /// overrides, propagates the indirect inference (§4.4.2), marks
   /// dependents dirty, and bumps the stats.
@@ -378,14 +383,15 @@ class Engine {
   /// Canonical serialized engine state (the §4.6 repetition check compares
   /// these byte-for-byte; see core/convergence.h).
   [[nodiscard]] std::string state_signature() const;
-  /// Inverse of save_state(). Overwrites the per-half state, its slabs
-  /// and flag lists, touched_, stats_ and tracker_, re-transcribes the
-  /// whole frozen view from the restored state, and has the next add and
-  /// remove steps open with full sweeps;
-  /// throws CheckpointError on any malformed or mismatched blob (wrong
-  /// version, half count differing from this graph, out-of-range ids,
-  /// inconsistent entry flags or overrides, a direct inference on a
-  /// phantom half, truncation, trailing bytes). reset_state() must have
+  /// Inverse of save_state(). Overwrites the per-half records, held_,
+  /// stats_ and tracker_, re-transcribes the whole frozen view from the
+  /// restored state, and has the next add and remove steps open with full
+  /// sweeps; throws CheckpointError on any malformed or mismatched blob
+  /// (wrong version, half count differing from this graph, out-of-range
+  /// ids, inconsistent entry flags or overrides, a direct inference on a
+  /// phantom half, an unknown AS_N or indirect AS, an indirect source other
+  /// than the half's other side, touched bits that the derived touched set
+  /// cannot reproduce, truncation, trailing bytes). reset_state() must have
   /// run first.
   void restore_state(const std::string& blob);
   /// The run's inferences in (address, direction) order.
@@ -394,10 +400,6 @@ class Engine {
   [[nodiscard]] std::vector<std::pair<graph::InterfaceHalf, asdata::Asn>>
   final_mappings() const;
   void snapshot(const std::string& label);
-  /// Clears `flag` on every half: on the halves `list` names, the only ones
-  /// where it can be set. Debug builds then check that no half still has it
-  /// (InvariantError), i.e. that no write site missed the list.
-  void clear_flags(std::vector<HalfId>& list, bool HalfState::*flag);
   /// Sizes the slabs from the graph as it is now and empties the per-run
   /// state; base mappings come from base_cache_ where it has the address.
   void reset_state();
@@ -410,28 +412,30 @@ class Engine {
   const asdata::AsRelationships& rels_;
   Options options_;
 
-  // Flat slabs indexed by graph::HalfId.
-  std::vector<HalfState> halves_;
-  /// 1 while the half holds a direct inference (direct() is then valid):
-  /// what the scans and the remove step read, one byte per half.
-  std::vector<std::uint8_t> has_direct_;
-  /// Every direct inference made this run, in the order made: a half's is
-  /// directs_[direct_index_[id]], meaningful only while has_direct_ is set.
-  /// Sized by the inferences made, not by the halves.
+  // Flat slabs and bitsets indexed by graph::HalfId.
+  /// Every direct inference made this run, in the order made: a half holds
+  /// directs_[direct_index_[id]], or none when its index is kNoDirect. The
+  /// list is sized by the inferences made, not by the halves; its AS_N is
+  /// the half's direct override.
   std::vector<DirectInference> directs_;
   std::vector<std::uint32_t> direct_index_;
-  /// The half whose direct inference propagated this half's indirect one
-  /// (§4.4.2; lifetime coupling), or kInvalidHalfId when it carries none.
-  std::vector<HalfId> indirect_source_;
+  /// The AS of the indirect inference the half carries (§4.4.2), or
+  /// kUnknownAsn when it carries none. Its source is the half's other side:
+  /// apply_indirect writes it on its source's other side, and demote_direct
+  /// ties a demoted half's own AS_N to its other side.
+  std::vector<asdata::Asn> indirect_as_;
   /// Halves that gained a direct or indirect inference at some point this
   /// run (never removed within a run): what the scans for inferences walk.
-  /// The slabs above stay the one record of whether a half holds one now.
   HalfSet held_;
-  /// Halves whose HalfState::suppressed / uncertain flag was set since the
-  /// flags were last cleared (an id may repeat): the resets walk these
-  /// instead of every half.
-  std::vector<HalfId> suppressed_list_;
-  std::vector<HalfId> uncertain_list_;
+  /// Record halves with at least two neighbours (§4.3's floor for a direct
+  /// inference), taken from the graph by reset_state.
+  HalfSet busy_;
+  /// Halves whose direct inference was discarded during this add step; they
+  /// cannot earn one again until the next add step (§4.4.5).
+  HalfSet suppressed_;
+  /// Halves holding a direct inference that the latest inverse pass found
+  /// in an unresolvable pair (§4.4.4).
+  HalfSet uncertain_;
   /// Base IP2AS, filled per run, and its sibling group key (also for an
   /// unannounced address: group_key(kUnknownAsn)).
   std::vector<asdata::Asn> base_;
@@ -442,19 +446,14 @@ class Engine {
   /// (fed by mutate_mapping; may repeat an id). Every other half's view_
   /// entry is already current.
   std::vector<HalfId> stale_;
-  /// Halves that ever held engine state this run. The convergence
-  /// signature covers exactly these (even when currently empty), so the
-  /// repetition check is sensitive to the same states a lazily-populated
-  /// map would be.
-  std::vector<std::uint8_t> touched_;
   /// Halves whose add (remove) verdict may differ from their last
   /// evaluation's; the next set-driven add (remove) pass evaluates exactly
   /// these.
   HalfSet add_pending_;
   HalfSet remove_pending_;
   /// Whether the next add (remove) step opens with a full sweep instead of
-  /// its set: a fresh run's first add step, which also sets touched_, and
-  /// both openings after restore_state (the sets are not in the blob).
+  /// its set: a fresh run's first add step and both openings after
+  /// restore_state (the sets are not in the blob).
   bool add_sweep_ = true;
   bool remove_sweep_ = false;
 

@@ -188,15 +188,7 @@ IngestStats run_ingest(const IngestOptions& options,
   fault::Io& io = options.io != nullptr ? *options.io : fault::system_io();
   IngestStats stats;
 
-  IngestSetup setup;
-  setup.traces_path = options.traces_path;
-  setup.rib_path = options.rib_path;
-  setup.relationships_path = options.relationships_path;
-  setup.as2org_path = options.as2org_path;
-  setup.ixps_path = options.ixps_path;
-  setup.lenient = options.lenient;
-  setup.options = options.engine_options;
-  IngestPipeline pipeline(setup);
+  IngestPipeline pipeline(options.base);
   if (options.log != nullptr) {
     // Lenient base loads report their quarantine as `mapit run` does.
     *options.log << pipeline.base_trace_report().summary("traces")
@@ -540,7 +532,7 @@ IngestStats run_ingest(const IngestOptions& options,
         accepted_lines.push_back(std::move(line));
         delta_report.add_loaded(1);
       } catch (const Error& error) {
-        if (!options.lenient) throw;
+        if (!options.base.lenient) throw;
         delta_report.record(delta_line_no, 0, error.what());
       }
     }
@@ -704,7 +696,7 @@ IngestStats run_ingest(const IngestOptions& options,
                                       std::move(parsed)});
         delta_report.add_loaded(1);
       } catch (const Error& error) {
-        if (!options.lenient) throw;
+        if (!options.base.lenient) throw;
         delta_report.record(delta_line_no, source_line.offset, error.what());
       }
     }

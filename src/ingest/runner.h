@@ -43,20 +43,14 @@
 #include <iosfwd>
 #include <string>
 
-#include "core/engine.h"
 #include "fault/io.h"
+#include "ingest/pipeline.h"
 
 namespace mapit::ingest {
 
 struct IngestOptions {
-  // Base run inputs (see IngestSetup).
-  std::string traces_path;
-  std::string rib_path;
-  std::string relationships_path;
-  std::string as2org_path;
-  std::string ixps_path;
-  bool lenient = false;
-  core::Options engine_options;
+  /// The base run; `base.lenient` also quarantines malformed delta lines.
+  IngestSetup base;
 
   std::string journal_path;  ///< delta journal (required)
   std::string out_path;      ///< snapshot publish target (required)

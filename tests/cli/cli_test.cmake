@@ -55,6 +55,33 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "unknown argument was not rejected")
 endif()
 
+# A bounded integer flag outside its range, or not a number, exits 2 with
+# one line naming the flag, what it expects and the value given.
+execute_process(
+  COMMAND ${MAPIT_BIN} run --traces ${WORK_DIR}/traces.txt
+          --rib ${WORK_DIR}/rib.txt --threads 2000
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err STREQUAL
+   "--threads expects an integer in [0, 1024], got '2000'\n")
+  message(FATAL_ERROR "run --threads 2000: (${rc}) ${err}")
+endif()
+execute_process(
+  COMMAND ${MAPIT_BIN} serve ${WORK_DIR}/none.bin --max-connections 0
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err STREQUAL
+   "--max-connections expects an integer in [1, 65536], got '0'\n")
+  message(FATAL_ERROR "serve --max-connections 0: (${rc}) ${err}")
+endif()
+execute_process(
+  COMMAND ${MAPIT_BIN} ingest --traces ${WORK_DIR}/traces.txt
+          --rib ${WORK_DIR}/rib.txt --journal ${WORK_DIR}/none.journal
+          --out ${WORK_DIR}/none.bin --batch-lines 1k
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err STREQUAL
+   "--batch-lines expects an integer in [1, 2^24], got '1k'\n")
+  message(FATAL_ERROR "ingest --batch-lines 1k: (${rc}) ${err}")
+endif()
+
 message(STATUS "cli end-to-end OK (${n} inference lines)")
 
 # Truth file + eval subcommand.

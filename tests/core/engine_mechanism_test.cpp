@@ -411,8 +411,14 @@ TEST(EngineMechanism, NoSnapshotsByDefault) {
 TEST(EngineMechanism, ResultLookupHelpers) {
   MiniWorld world = two_thirds_world();
   const Result result = world.run();
-  EXPECT_FALSE(result.find_address(testutil::addr("1.0.0.10")).empty());
-  EXPECT_TRUE(result.find_address(testutil::addr("77.0.0.1")).empty());
+  const auto on_address = [&](const char* address) {
+    return result.find(graph::forward_half(testutil::addr(address))) !=
+               nullptr ||
+           result.find(graph::backward_half(testutil::addr(address))) !=
+               nullptr;
+  };
+  EXPECT_TRUE(on_address("1.0.0.10"));
+  EXPECT_FALSE(on_address("77.0.0.1"));
 }
 
 TEST(EngineMechanism, InferenceToString) {

@@ -171,6 +171,13 @@ void expect_matches(const InterfaceGraph& graph, const Oracle& oracle,
     EXPECT_EQ(graph.other_side_id(id),
               oracle.id(oracle.other_side(address).address, opposite(d)))
         << label << " id " << id;
+    // The engine keeps no source for an indirect inference: it is the
+    // half's other side, which holds only while the relation is an
+    // involution (also after a fold flips a /30 decision).
+    const HalfId other = graph.other_side_id(id);
+    if (other != kInvalidHalfId) {
+      EXPECT_EQ(graph.other_side_id(other), id) << label << " id " << id;
+    }
   }
 }
 

@@ -148,9 +148,9 @@ class DegradedIngestTest : public ::testing::Test {
 
   ingest::IngestOptions options() const {
     ingest::IngestOptions opts;
-    opts.traces_path = base_path_;
-    opts.rib_path = rib_path_;
-    opts.engine_options.threads = 1;
+    opts.base.traces_path = base_path_;
+    opts.base.rib_path = rib_path_;
+    opts.base.options.threads = 1;
     opts.journal_path = (dir_ / "delta.jnl").string();
     opts.out_path = (dir_ / "live.snap").string();
     opts.follow_path = follow_path_;

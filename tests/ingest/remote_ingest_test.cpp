@@ -287,9 +287,9 @@ class RemoteIngestTest : public ::testing::Test {
   /// liveness timers off so server sends are a deterministic sequence.
   ingest::IngestOptions listen_options(int port, unsigned threads = 1) const {
     ingest::IngestOptions opts;
-    opts.traces_path = base_path_;
-    opts.rib_path = rib_path_;
-    opts.engine_options.threads = threads;
+    opts.base.traces_path = base_path_;
+    opts.base.rib_path = rib_path_;
+    opts.base.options.threads = threads;
     opts.journal_path = (dir_ / "delta.jnl").string();
     opts.out_path = (dir_ / "live.snap").string();
     opts.listen_port = port;

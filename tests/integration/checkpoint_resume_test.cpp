@@ -320,12 +320,19 @@ struct BlobEntries {
     return out + tail;
   }
 
-  /// The first entry whose mask has (or, with `has` false, lacks) `bit`.
-  Entry& first(std::uint8_t bit, bool has = true) {
+  /// The first entry `pred` accepts.
+  template <typename Pred>
+  Entry& first_where(Pred pred) {
     for (Entry& entry : entries) {
-      if (((entry.mask & bit) != 0) == has) return entry;
+      if (pred(entry)) return entry;
     }
     throw std::logic_error("no such entry");
+  }
+
+  /// The first entry whose mask has (or, with `has` false, lacks) `bit`.
+  Entry& first(std::uint8_t bit, bool has = true) {
+    return first_where(
+        [&](const Entry& entry) { return ((entry.mask & bit) != 0) == has; });
   }
 };
 
@@ -369,6 +376,55 @@ TEST_F(CheckpointResumeGuardTest, RestoreRejectsEntriesTheEngineNeverWrites) {
   });
   direct.id = last;
   forged.entries.push_back(direct);
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
+
+  // The engine derives an indirect inference's source (the half's other
+  // side) and the touched set, and keeps "none" as ASN 0, so it also
+  // rejects blobs those records cannot hold.
+  const auto busy = [&](std::uint32_t id) {
+    return exp.graph().neighbor_ids(id).size() >= 2;
+  };
+  // An indirect source other than the half's other side: the other half of
+  // the source's address. It follows the direct inference, if any.
+  forged = parsed;
+  BlobEntries::Entry& sourced = forged.first(0x04);
+  sourced.payload[(sourced.mask & 0x01) != 0 ? 16u : 0u] ^= 1;
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
+
+  // An indirect override of 0, the last field of its entry.
+  forged = parsed;
+  BlobEntries::Entry& indirect = forged.first(0x10);
+  indirect.payload.replace(indirect.payload.size() - 4, 4, 4, '\0');
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
+
+  // A direct inference whose AS_N is 0, its override 0 to match.
+  forged = parsed;
+  BlobEntries::Entry& unknown = forged.first(0x01);
+  unknown.payload.replace(0, 4, 4, '\0');
+  unknown.payload.replace((unknown.mask & 0x04) != 0 ? 20u : 16u, 4, 4, '\0');
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
+
+  // No entry for a half with two neighbours that holds nothing.
+  forged = parsed;
+  const std::uint32_t idle =
+      forged
+          .first_where([&](const BlobEntries::Entry& entry) {
+            return entry.mask == 0x80 && busy(entry.id);
+          })
+          .id;
+  std::erase_if(forged.entries, [&](const BlobEntries::Entry& entry) {
+    return entry.id == idle;
+  });
+  EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
+
+  // An indirect inference on a half with fewer than two neighbours, without
+  // the touched bit.
+  forged = parsed;
+  forged
+      .first_where([&](const BlobEntries::Entry& entry) {
+        return (entry.mask & 0x04) != 0 && !busy(entry.id);
+      })
+      .mask &= static_cast<std::uint8_t>(~0x80u);
   EXPECT_THROW((void)resume_with(forged.blob()), core::CheckpointError);
 }
 

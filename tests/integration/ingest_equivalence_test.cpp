@@ -170,9 +170,9 @@ TEST_F(IngestEquivalenceTest, RunIngestDrainPublishesColdBytes) {
                           lines_.end()));
 
   ingest::IngestOptions options;
-  options.traces_path = base_path_;
-  options.rib_path = rib_path_;
-  options.engine_options.threads = 1;
+  options.base.traces_path = base_path_;
+  options.base.rib_path = rib_path_;
+  options.base.options.threads = 1;
   options.journal_path = (dir_ / "delta.jnl").string();
   options.out_path = (dir_ / "live.snap").string();
   options.follow_path = follow;
@@ -199,9 +199,9 @@ TEST_F(IngestEquivalenceTest, KillMidJournalResumesToColdBytes) {
   // Grow the follow file in three stages with a drain run after each, so
   // the journal accumulates multiple commit records at staged offsets.
   ingest::IngestOptions options;
-  options.traces_path = base_path_;
-  options.rib_path = rib_path_;
-  options.engine_options.threads = 1;
+  options.base.traces_path = base_path_;
+  options.base.rib_path = rib_path_;
+  options.base.options.threads = 1;
   options.journal_path = (dir_ / "delta.jnl").string();
   options.out_path = (dir_ / "live.snap").string();
   options.follow_path = follow;
@@ -250,9 +250,9 @@ TEST_F(IngestEquivalenceTest, CrashAtEveryInjectedSyscallThenResume) {
                           lines_.end()));
 
   ingest::IngestOptions options;
-  options.traces_path = base_path_;
-  options.rib_path = rib_path_;
-  options.engine_options.threads = 1;
+  options.base.traces_path = base_path_;
+  options.base.rib_path = rib_path_;
+  options.base.options.threads = 1;
   options.journal_path = (dir_ / "delta.jnl").string();
   options.out_path = (dir_ / "live.snap").string();
   options.follow_path = follow;
@@ -311,9 +311,9 @@ TEST_F(IngestEquivalenceTest, JournalWritesABatchInOneWrite) {
     write_lines(follow, follow_lines);
     fs::remove(dir_ / "delta.jnl");
     ingest::IngestOptions options;
-    options.traces_path = base_path_;
-    options.rib_path = rib_path_;
-    options.engine_options.threads = 1;
+    options.base.traces_path = base_path_;
+    options.base.rib_path = rib_path_;
+    options.base.options.threads = 1;
     options.journal_path = (dir_ / "delta.jnl").string();
     options.out_path = (dir_ / "live.snap").string();
     options.follow_path = follow;
@@ -340,9 +340,9 @@ TEST_F(IngestEquivalenceTest, LenientQuarantinesDeltaGarbageStrictThrows) {
   write_lines(follow, delta_lines);
 
   ingest::IngestOptions options;
-  options.traces_path = base_path_;
-  options.rib_path = rib_path_;
-  options.engine_options.threads = 1;
+  options.base.traces_path = base_path_;
+  options.base.rib_path = rib_path_;
+  options.base.options.threads = 1;
   options.journal_path = (dir_ / "delta.jnl").string();
   options.out_path = (dir_ / "live.snap").string();
   options.follow_path = follow;
@@ -351,7 +351,7 @@ TEST_F(IngestEquivalenceTest, LenientQuarantinesDeltaGarbageStrictThrows) {
   EXPECT_THROW((void)ingest::run_ingest(options), Error);
 
   fs::remove(options.journal_path);
-  options.lenient = true;
+  options.base.lenient = true;
   std::ostringstream log;
   options.log = &log;
   const ingest::IngestStats stats = ingest::run_ingest(options);
@@ -370,18 +370,18 @@ TEST_F(IngestEquivalenceTest, LenientBaseQuarantineIsLoggedLikeRun) {
       lines_.begin() + static_cast<std::ptrdiff_t>(base_count_));
   base.insert(base.begin() + 1, "0|11.2.0.999|11.1.0.1@1 11.2.0.1@2");
   ingest::IngestOptions options;
-  options.traces_path = (dir_ / "dirty_base.txt").string();
-  write_lines(options.traces_path, base);
-  options.rib_path = (dir_ / "dirty_rib.txt").string();
+  options.base.traces_path = (dir_ / "dirty_base.txt").string();
+  write_lines(options.base.traces_path, base);
+  options.base.rib_path = (dir_ / "dirty_rib.txt").string();
   {
-    std::ofstream rib(options.rib_path);
+    std::ofstream rib(options.base.rib_path);
     rib << kRib << "rc0|not-a-prefix|100\n";
   }
-  options.engine_options.threads = 1;
+  options.base.options.threads = 1;
   options.journal_path = (dir_ / "delta.jnl").string();
   options.out_path = (dir_ / "live.snap").string();
   options.drain = true;
-  options.lenient = true;
+  options.base.lenient = true;
   std::ostringstream log;
   options.log = &log;
 

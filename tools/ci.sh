@@ -13,8 +13,9 @@
 #                   checkpoint kill the CLI at every run boundary
 #                              (--stop-after), chain --resume to completion
 #                              at threads 1 and 8, and require inferences
-#                              byte-identical to an uninterrupted run; also
-#                              the deadline checkpoint-and-exit path
+#                              byte-identical to an uninterrupted run and
+#                              every checkpoint's cksum equal to the pin;
+#                              also the deadline checkpoint-and-exit path
 #                   bench      perf_micro smoke (runs every case once)
 #                   snapshot   the standard run pinned through the CLI
 #                              (size, CRC and inference count), golden
@@ -145,6 +146,17 @@ stage_checkpoint() {
   # advances exactly one run boundary, checkpoints, and exits 5; the chain
   # of --resume legs must converge to byte-identical inferences for every
   # thread count, and a completed run must clean up its checkpoint.
+  #
+  # The checkpoints themselves are pinned too: `cksum` of engine.ckpt after
+  # every leg that stopped, the same list for every thread count. A blob
+  # format change that save and restore make together still resumes to the
+  # same inferences, so only this list catches it; such a change must
+  # arrive as a deliberate edit of this constant.
+  local pinned_checkpoints="3469613532 13687
+3472445763 24456
+378766607 24820
+1174204449 35637
+2291560460 35973"
   local mapit_bin="${BUILD_DIR}/tools/mapit"
   local work="${BUILD_DIR}/checkpoint_matrix"
   rm -rf "${work}"
@@ -157,7 +169,7 @@ stage_checkpoint() {
     --output "${work}/reference.txt" \
     --uncertain "${work}/reference_uncertain.txt"
 
-  local threads ckpt rc legs
+  local threads ckpt rc legs checkpoints
   for threads in 1 8; do
     ckpt="${work}/ckpt-${threads}"
     local flags=("${inputs[@]}" --threads "${threads}"
@@ -168,7 +180,9 @@ stage_checkpoint() {
       --stop-after 1
     rc=$?
     legs=0
+    checkpoints=""
     while [[ "${rc}" -eq 5 ]]; do
+      checkpoints+="$(cksum < "${ckpt}/engine.ckpt")"$'\n'
       legs=$((legs + 1))
       if [[ "${legs}" -gt 50 ]]; then
         echo "resume chain did not terminate in 50 legs" >&2
@@ -193,7 +207,14 @@ stage_checkpoint() {
       echo "completed run did not remove its checkpoint" >&2
       exit 1
     fi
-    echo "threads=${threads}: ${legs} resume legs, byte-identical: ok"
+    if [[ "${checkpoints%$'\n'}" != "${pinned_checkpoints}" ]]; then
+      echo "checkpoint bytes drifted (threads=${threads}): got" >&2
+      printf '%s' "${checkpoints}" >&2
+      echo "pinned" >&2
+      echo "${pinned_checkpoints}" >&2
+      exit 1
+    fi
+    echo "threads=${threads}: ${legs} resume legs, byte-identical, checkpoints == pin: ok"
   done
 
   # Deadline supervision: an already-expired budget must checkpoint and

@@ -319,34 +319,6 @@ class Args {
   std::unordered_map<std::size_t, bool> used_;
 };
 
-/// Generic bounded unsigned flag parse shared by --threads/--port/etc.
-std::optional<unsigned long> parse_bounded(const std::string& value,
-                                           unsigned long max) {
-  std::size_t pos = 0;
-  unsigned long parsed = 0;
-  try {
-    parsed = std::stoul(value, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != value.size() || parsed > max) return std::nullopt;
-  return parsed;
-}
-
-unsigned parse_threads(Args& args) {
-  unsigned threads = 0;  // 0 = one worker per hardware thread
-  if (const auto value = args.value("--threads")) {
-    const auto parsed = parse_bounded(*value, 1024);
-    if (!parsed) {
-      std::cerr << "--threads expects an integer in [0, 1024], got '" << *value
-                << "'\n";
-      std::exit(kExitUsage);
-    }
-    threads = static_cast<unsigned>(*parsed);
-  }
-  return threads;
-}
-
 /// Non-negative seconds flag (fractions allowed: "--deadline 0.5").
 double parse_seconds_or_die(const char* flag, const std::string& value) {
   std::size_t pos = 0;
@@ -362,6 +334,35 @@ double parse_seconds_or_die(const char* flag, const std::string& value) {
     std::exit(kExitUsage);
   }
   return parsed;
+}
+
+/// Unsigned integer flag in [min, max] (--threads, --port, ...); anything
+/// else prints "<flag> expects <expects>, got '<value>'" and exits.
+unsigned long parse_bounded_or_die(const char* flag, const std::string& value,
+                                   unsigned long min, unsigned long max,
+                                   const char* expects) {
+  std::size_t pos = 0;
+  unsigned long parsed = 0;
+  try {
+    parsed = std::stoul(value, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  if (pos != value.size() || parsed < min || parsed > max) {
+    std::cerr << flag << " expects " << expects << ", got '" << value
+              << "'\n";
+    std::exit(kExitUsage);
+  }
+  return parsed;
+}
+
+unsigned parse_threads(Args& args) {
+  unsigned threads = 0;  // 0 = one worker per hardware thread
+  if (const auto value = args.value("--threads")) {
+    threads = static_cast<unsigned>(parse_bounded_or_die(
+        "--threads", *value, 0, 1024, "an integer in [0, 1024]"));
+  }
+  return threads;
 }
 
 /// Parses the engine options shared by run/paths/snapshot/ingest:
@@ -505,22 +506,12 @@ RunPipeline build_run_pipeline(Args& args, const char* verb) {
         parse_seconds_or_die("--deadline", *value);
   }
   if (const auto value = args.value("--memory-budget")) {
-    const auto parsed = parse_bounded(*value, 1UL << 30);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--memory-budget expects MiB in [1, 2^30], got '" << *value
-                << "'\n";
-      std::exit(kExitUsage);
-    }
-    pipeline.supervisor.memory_budget_mb = *parsed;
+    pipeline.supervisor.memory_budget_mb = parse_bounded_or_die(
+        "--memory-budget", *value, 1, 1UL << 30, "MiB in [1, 2^30]");
   }
   if (const auto value = args.value("--stop-after")) {
-    const auto parsed = parse_bounded(*value, 1UL << 20);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--stop-after expects a boundary count in [1, 2^20], "
-                   "got '" << *value << "'\n";
-      std::exit(kExitUsage);
-    }
-    pipeline.supervisor.boundary_limit = static_cast<int>(*parsed);
+    pipeline.supervisor.boundary_limit = static_cast<int>(parse_bounded_or_die(
+        "--stop-after", *value, 1, 1UL << 20, "a boundary count in [1, 2^20]"));
   }
   if (!pipeline.checkpoint &&
       (pipeline.supervisor.deadline_seconds > 0 ||
@@ -737,69 +728,34 @@ int cmd_serve(Args& args) {
   query::ServerOptions server_options;
   server_options.idle_timeout = std::chrono::seconds(300);
   if (const auto value = args.value("--port")) {
-    const auto parsed = parse_bounded(*value, 65535);
-    if (!parsed) {
-      std::cerr << "--port expects an integer in [0, 65535], got '" << *value
-                << "'\n";
-      return kExitUsage;
-    }
-    server_options.port = static_cast<std::uint16_t>(*parsed);
+    server_options.port = static_cast<std::uint16_t>(parse_bounded_or_die(
+        "--port", *value, 0, 65535, "an integer in [0, 65535]"));
   }
   if (const auto value = args.value("--idle-timeout")) {
-    const auto parsed = parse_bounded(*value, 86400);
-    if (!parsed) {
-      std::cerr << "--idle-timeout expects seconds in [0, 86400], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    server_options.idle_timeout = std::chrono::seconds(*parsed);
+    server_options.idle_timeout = std::chrono::seconds(parse_bounded_or_die(
+        "--idle-timeout", *value, 0, 86400, "seconds in [0, 86400]"));
   }
   if (const auto value = args.value("--max-connections")) {
-    const auto parsed = parse_bounded(*value, 65536);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--max-connections expects an integer in [1, 65536], "
-                   "got '" << *value << "'\n";
-      return kExitUsage;
-    }
-    server_options.max_connections = *parsed;
+    server_options.max_connections = parse_bounded_or_die(
+        "--max-connections", *value, 1, 65536, "an integer in [1, 65536]");
   }
   if (const auto value = args.value("--max-line")) {
-    const auto parsed = parse_bounded(*value, 1UL << 30);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--max-line expects bytes in [1, 2^30], got '" << *value
-                << "'\n";
-      return kExitUsage;
-    }
-    server_options.max_line_bytes = *parsed;
+    server_options.max_line_bytes = parse_bounded_or_die(
+        "--max-line", *value, 1, 1UL << 30, "bytes in [1, 2^30]");
   }
   if (const auto value = args.value("--backlog")) {
-    const auto parsed = parse_bounded(*value, 65536);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--backlog expects an integer in [1, 65536], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    server_options.backlog = static_cast<int>(*parsed);
+    server_options.backlog = static_cast<int>(parse_bounded_or_die(
+        "--backlog", *value, 1, 65536, "an integer in [1, 65536]"));
   }
   if (const auto value = args.value("--max-inflight")) {
-    const auto parsed = parse_bounded(*value, 1UL << 34);
-    if (!parsed) {
-      std::cerr << "--max-inflight expects bytes in [0, 2^34], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    server_options.max_inflight_bytes = *parsed;
+    server_options.max_inflight_bytes = parse_bounded_or_die(
+        "--max-inflight", *value, 0, 1UL << 34, "bytes in [0, 2^34]");
   }
   server_options.reuse_port = args.flag("--reuseport");
   unsigned long watch_interval = 2;
   if (const auto value = args.value("--watch-interval")) {
-    const auto parsed = parse_bounded(*value, 86400);
-    if (!parsed) {
-      std::cerr << "--watch-interval expects seconds in [0, 86400], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    watch_interval = *parsed;
+    watch_interval = parse_bounded_or_die(
+        "--watch-interval", *value, 0, 86400, "seconds in [0, 86400]");
   }
   args.reject_unknown();
 
@@ -890,26 +846,23 @@ int cmd_ingest(Args& args) {
                  "required\n";
     usage(kExitUsage);
   }
-  options.traces_path = *traces_path;
-  options.rib_path = *rib_path;
+  options.base.traces_path = *traces_path;
+  options.base.rib_path = *rib_path;
   options.journal_path = *journal_path;
   options.out_path = *out_path;
-  options.engine_options = parse_engine_options(args);
-  options.lenient = args.flag("--lenient");
+  options.base.options = parse_engine_options(args);
+  options.base.lenient = args.flag("--lenient");
   if (const auto value = args.value("--relationships")) {
-    options.relationships_path = *value;
+    options.base.relationships_path = *value;
   }
-  if (const auto value = args.value("--as2org")) options.as2org_path = *value;
-  if (const auto value = args.value("--ixps")) options.ixps_path = *value;
+  if (const auto value = args.value("--as2org")) {
+    options.base.as2org_path = *value;
+  }
+  if (const auto value = args.value("--ixps")) options.base.ixps_path = *value;
   if (const auto value = args.value("--follow")) options.follow_path = *value;
   if (const auto value = args.value("--listen")) {
-    const auto parsed = parse_bounded(*value, 65535);
-    if (!parsed) {
-      std::cerr << "--listen expects a port in [0, 65535], got '" << *value
-                << "'\n";
-      return kExitUsage;
-    }
-    options.listen_port = static_cast<int>(*parsed);
+    options.listen_port = static_cast<int>(parse_bounded_or_die(
+        "--listen", *value, 0, 65535, "a port in [0, 65535]"));
   }
   if (const auto value = args.value("--secret-file")) {
     options.secret = read_secret_or_die(*value);
@@ -923,22 +876,12 @@ int cmd_ingest(Args& args) {
         parse_seconds_or_die("--deadline", *value);
   }
   if (const auto value = args.value("--max-inflight")) {
-    const auto parsed = parse_bounded(*value, 1UL << 16);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--max-inflight expects an integer in [1, 2^16], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.max_inflight_batches = *parsed;
+    options.max_inflight_batches = parse_bounded_or_die(
+        "--max-inflight", *value, 1, 1UL << 16, "an integer in [1, 2^16]");
   }
   if (const auto value = args.value("--batch-lines")) {
-    const auto parsed = parse_bounded(*value, 1UL << 24);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--batch-lines expects an integer in [1, 2^24], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.batch_lines = *parsed;
+    options.batch_lines = parse_bounded_or_die(
+        "--batch-lines", *value, 1, 1UL << 24, "an integer in [1, 2^24]");
   }
   if (const auto value = args.value("--batch-seconds")) {
     options.batch_seconds = parse_seconds_or_die("--batch-seconds", *value);
@@ -948,34 +891,19 @@ int cmd_ingest(Args& args) {
   }
   options.drain = args.flag("--drain");
   if (const auto value = args.value("--max-batches")) {
-    const auto parsed = parse_bounded(*value, 1UL << 30);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--max-batches expects an integer in [1, 2^30], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.max_batches = *parsed;
+    options.max_batches = parse_bounded_or_die(
+        "--max-batches", *value, 1, 1UL << 30, "an integer in [1, 2^30]");
   }
   if (const auto value = args.value("--retry-interval")) {
     options.retry_interval = parse_seconds_or_die("--retry-interval", *value);
   }
   if (const auto value = args.value("--max-pending")) {
-    const auto parsed = parse_bounded(*value, 1UL << 30);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--max-pending expects an integer in [1, 2^30], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.max_pending_lines = *parsed;
+    options.max_pending_lines = parse_bounded_or_die(
+        "--max-pending", *value, 1, 1UL << 30, "an integer in [1, 2^30]");
   }
   if (const auto value = args.value("--health-port")) {
-    const auto parsed = parse_bounded(*value, 65535);
-    if (!parsed) {
-      std::cerr << "--health-port expects a port in [0, 65535], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.health_port = static_cast<int>(*parsed);
+    options.health_port = static_cast<int>(parse_bounded_or_die(
+        "--health-port", *value, 0, 65535, "a port in [0, 65535]"));
   }
   args.reject_unknown();
   if (options.listen_port >= 0 && options.secret.empty()) {
@@ -1050,13 +978,8 @@ int cmd_send(Args& args) {
   }
   options.path = *file;
   options.session = *session;
-  const auto parsed_port = parse_bounded(*port, 65535);
-  if (!parsed_port || *parsed_port == 0) {
-    std::cerr << "--port expects a port in [1, 65535], got '" << *port
-              << "'\n";
-    return kExitUsage;
-  }
-  options.port = static_cast<std::uint16_t>(*parsed_port);
+  options.port = static_cast<std::uint16_t>(parse_bounded_or_die(
+      "--port", *port, 1, 65535, "a port in [1, 65535]"));
   options.secret = read_secret_or_die(*secret_file);
   if (const auto value = args.value("--host")) options.host = *value;
   if (const auto value = args.value("--expect-base")) {
@@ -1077,13 +1000,8 @@ int cmd_send(Args& args) {
   }
   options.follow = args.flag("--follow");
   if (const auto value = args.value("--batch-lines")) {
-    const auto parsed = parse_bounded(*value, 1UL << 20);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--batch-lines expects an integer in [1, 2^20], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.batch_lines = *parsed;
+    options.batch_lines = parse_bounded_or_die(
+        "--batch-lines", *value, 1, 1UL << 20, "an integer in [1, 2^20]");
   }
   if (const auto value = args.value("--batch-seconds")) {
     options.batch_seconds = parse_seconds_or_die("--batch-seconds", *value);
@@ -1092,22 +1010,12 @@ int cmd_send(Args& args) {
     options.poll_seconds = parse_seconds_or_die("--poll-interval", *value);
   }
   if (const auto value = args.value("--window")) {
-    const auto parsed = parse_bounded(*value, 1UL << 16);
-    if (!parsed || *parsed == 0) {
-      std::cerr << "--window expects an integer in [1, 2^16], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.window = *parsed;
+    options.window = parse_bounded_or_die(
+        "--window", *value, 1, 1UL << 16, "an integer in [1, 2^16]");
   }
   if (const auto value = args.value("--max-attempts")) {
-    const auto parsed = parse_bounded(*value, 1UL << 30);
-    if (!parsed) {
-      std::cerr << "--max-attempts expects an integer in [0, 2^30], got '"
-                << *value << "'\n";
-      return kExitUsage;
-    }
-    options.max_attempts = *parsed;
+    options.max_attempts = parse_bounded_or_die(
+        "--max-attempts", *value, 0, 1UL << 30, "an integer in [0, 2^30]");
   }
   if (const auto value = args.value("--heartbeat")) {
     options.heartbeat_seconds = parse_seconds_or_die("--heartbeat", *value);
